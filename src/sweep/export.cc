@@ -1,9 +1,17 @@
 #include "export.hh"
 
-#include <sstream>
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/bounds.hh"
+#include "obs/trace.hh"
 #include "util/csv.hh"
+#include "util/format.hh"
 #include "util/json.hh"
 
 namespace hcm {
@@ -11,25 +19,118 @@ namespace sweep {
 
 namespace {
 
-/** Full-precision numeric cell (matches CsvWriter::writeNumericRow). */
-std::string
-num(double v)
+/**
+ * The one byte sink behind both drivers: every record is appended to
+ * a single reused buffer, which goes to the stream in chunks of about
+ * kChunk bytes. The drivers never build a string per cell or call the
+ * stream per token.
+ */
+class ByteSink
 {
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << v;
-    return oss.str();
+  public:
+    static constexpr std::size_t kChunk = 64 * 1024;
+
+    explicit ByteSink(std::ostream &out) : _out(out)
+    {
+        // Room for a chunk plus the record that crosses its end.
+        _buf.reserve(kChunk + 4096);
+    }
+
+    void put(char c) { _buf += c; }
+    void put(std::string_view s) { _buf += s; }
+    void num(double v, int digits) { appendDouble(_buf, v, digits); }
+
+    void
+    integer(long long v)
+    {
+        char text[24];
+        _buf.append(text, std::to_chars(text, text + sizeof(text), v).ptr);
+    }
+
+    /** Record boundary: hand a full chunk to the stream. */
+    void
+    endRecord()
+    {
+        if (_buf.size() >= kChunk)
+            flush();
+    }
+
+    /** Write what is left; returns the bytes written in total. */
+    std::size_t
+    finish()
+    {
+        flush();
+        return _written;
+    }
+
+  private:
+    void
+    flush()
+    {
+        _out.write(_buf.data(), static_cast<std::streamsize>(_buf.size()));
+        _written += _buf.size();
+        _buf.clear();
+    }
+
+    std::ostream &_out;
+    std::string _buf;
+    std::size_t _written = 0;
+};
+
+/**
+ * Node labels formatted and escaped once per export instead of once per
+ * cell (NodeParams::label() goes through snprintf). Keyed on the
+ * node's bits, so a hand-built cell outside Table 6 still gets its own
+ * label.
+ */
+class NodeLabels
+{
+  public:
+    explicit NodeLabels(std::string (*escape)(const std::string &))
+        : _escape(escape)
+    {
+    }
+
+    const std::string &
+    operator()(const itrs::NodeParams &node)
+    {
+        std::uint64_t bits = std::bit_cast<std::uint64_t>(node.nodeNm);
+        for (const Entry &e : _entries)
+            if (e.bits == bits)
+                return e.text;
+        _entries.push_back({bits, _escape(node.label())});
+        return _entries.back().text;
+    }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t bits;
+        std::string text;
+    };
+
+    std::string (*_escape)(const std::string &);
+    std::vector<Entry> _entries;
+};
+
+constexpr int kCsvDigits = 17; ///< round-trips every double
+constexpr int kJsonDigits = 12; ///< JsonWriter::value(double)
+
+/** A JSON string literal: quotes around JsonWriter::escape. */
+std::string
+jsonString(const std::string &s)
+{
+    return '"' + JsonWriter::escape(s) + '"';
 }
 
+/** A JSON number the way JsonWriter prints it: null when non-finite. */
 void
-writeCsvRow(std::ostream &out, const std::vector<std::string> &cells)
+jsonNumber(ByteSink &sink, double v)
 {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i > 0)
-            out << ",";
-        out << CsvWriter::escape(cells[i]);
-    }
-    out << "\n";
+    if (std::isfinite(v))
+        sink.num(v, kJsonDigits);
+    else
+        sink.put("null");
 }
 
 } // namespace
@@ -37,81 +138,116 @@ writeCsvRow(std::ostream &out, const std::vector<std::string> &cells)
 void
 writeSweepCsv(std::ostream &out, const SweepResult &result)
 {
-    writeCsvRow(out, {"workload", "f", "scenario", "organization",
-                      "paperIndex", "node", "year", "feasible", "r", "n",
-                      "speedup", "limiter", "energyNormalized",
-                      "budgetArea", "budgetPower", "budgetBandwidth"});
+    obs::Span span("sweep.export", "sweep");
+    span.arg("format", "csv");
+    ByteSink sink(out);
+    NodeLabels labels(&CsvWriter::escape);
+    sink.put("workload,f,scenario,organization,paperIndex,node,year,"
+             "feasible,r,n,speedup,limiter,energyNormalized,budgetArea,"
+             "budgetPower,budgetBandwidth\n");
+    std::string prefix;
     for (const SweepRow &row : result.rows) {
+        // The first five cells are the row's, shared by its node lines.
+        prefix = CsvWriter::escape(row.workload);
+        prefix += ',';
+        appendDouble(prefix, row.f, kCsvDigits);
+        prefix += ',';
+        prefix += CsvWriter::escape(row.scenario);
+        prefix += ',';
+        prefix += CsvWriter::escape(row.organization);
+        prefix += ',';
+        prefix += std::to_string(row.paperIndex);
+        prefix += ',';
         for (const SweepCell &cell : row.cells) {
-            std::vector<std::string> cells = {
-                row.workload,
-                num(row.f),
-                row.scenario,
-                row.organization,
-                std::to_string(row.paperIndex),
-                cell.node.label(),
-                std::to_string(cell.node.year),
-                cell.design.feasible ? "1" : "0",
-            };
+            sink.put(prefix);
+            sink.put(labels(cell.node));
+            sink.put(',');
+            sink.integer(cell.node.year);
             if (cell.design.feasible) {
-                cells.push_back(num(cell.design.r));
-                cells.push_back(num(cell.design.n));
-                cells.push_back(num(cell.design.speedup));
-                cells.push_back(core::limiterName(cell.design.limiter));
-                cells.push_back(num(cell.energyNormalized));
+                sink.put(",1,");
+                sink.num(cell.design.r, kCsvDigits);
+                sink.put(',');
+                sink.num(cell.design.n, kCsvDigits);
+                sink.put(',');
+                sink.num(cell.design.speedup, kCsvDigits);
+                sink.put(',');
+                sink.put(core::limiterName(cell.design.limiter));
+                sink.put(',');
+                sink.num(cell.energyNormalized, kCsvDigits);
+                sink.put(',');
             } else {
-                cells.insert(cells.end(), 5, "");
+                sink.put(",0,,,,,,");
             }
-            cells.push_back(num(cell.budget.area));
-            cells.push_back(num(cell.budget.power));
-            cells.push_back(num(cell.budget.bandwidth));
-            writeCsvRow(out, cells);
+            sink.num(cell.budget.area, kCsvDigits);
+            sink.put(',');
+            sink.num(cell.budget.power, kCsvDigits);
+            sink.put(',');
+            sink.num(cell.budget.bandwidth, kCsvDigits);
+            sink.put('\n');
+            sink.endRecord();
         }
     }
+    span.arg("bytes", sink.finish());
 }
 
 void
 writeSweepJson(std::ostream &out, const SweepResult &result)
 {
-    JsonWriter json(out);
-    json.beginObject();
-    json.key("rows").beginArray();
-    for (const SweepRow &row : result.rows) {
-        json.beginObject();
-        json.kv("workload", row.workload);
-        json.kv("f", row.f);
-        json.kv("scenario", row.scenario);
-        json.kv("organization", row.organization);
-        json.kv("paperIndex", row.paperIndex);
-        json.key("points").beginArray();
-        for (const SweepCell &cell : row.cells) {
-            json.beginObject();
-            json.kv("node", cell.node.label());
-            json.kv("year", cell.node.year);
-            json.kv("feasible", cell.design.feasible);
+    obs::Span span("sweep.export", "sweep");
+    span.arg("format", "json");
+    ByteSink sink(out);
+    NodeLabels labels(&jsonString);
+    sink.put("{\"rows\":[");
+    for (std::size_t ri = 0; ri < result.rows.size(); ++ri) {
+        const SweepRow &row = result.rows[ri];
+        sink.put(ri > 0 ? ",{\"workload\":" : "{\"workload\":");
+        sink.put(jsonString(row.workload));
+        sink.put(",\"f\":");
+        jsonNumber(sink, row.f);
+        sink.put(",\"scenario\":");
+        sink.put(jsonString(row.scenario));
+        sink.put(",\"organization\":");
+        sink.put(jsonString(row.organization));
+        sink.put(",\"paperIndex\":");
+        sink.integer(row.paperIndex);
+        sink.put(",\"points\":[");
+        for (std::size_t ci = 0; ci < row.cells.size(); ++ci) {
+            const SweepCell &cell = row.cells[ci];
+            sink.put(ci > 0 ? ",{\"node\":" : "{\"node\":");
+            sink.put(labels(cell.node));
+            sink.put(",\"year\":");
+            sink.integer(cell.node.year);
             if (cell.design.feasible) {
-                json.kv("r", cell.design.r);
-                json.kv("n", cell.design.n);
-                json.kv("speedup", cell.design.speedup);
-                json.kv("limiter",
-                        core::limiterName(cell.design.limiter));
-                json.kv("energyNormalized", cell.energyNormalized);
+                sink.put(",\"feasible\":true,\"r\":");
+                jsonNumber(sink, cell.design.r);
+                sink.put(",\"n\":");
+                jsonNumber(sink, cell.design.n);
+                sink.put(",\"speedup\":");
+                jsonNumber(sink, cell.design.speedup);
+                sink.put(",\"limiter\":\"");
+                sink.put(core::limiterName(cell.design.limiter));
+                sink.put("\",\"energyNormalized\":");
+                jsonNumber(sink, cell.energyNormalized);
+            } else {
+                sink.put(",\"feasible\":false");
             }
-            json.key("budget").beginObject();
-            json.kv("area", cell.budget.area);
-            json.kv("power", cell.budget.power);
-            json.kv("bandwidth", cell.budget.bandwidth);
-            json.endObject();
-            json.endObject();
+            sink.put(",\"budget\":{\"area\":");
+            jsonNumber(sink, cell.budget.area);
+            sink.put(",\"power\":");
+            jsonNumber(sink, cell.budget.power);
+            sink.put(",\"bandwidth\":");
+            jsonNumber(sink, cell.budget.bandwidth);
+            sink.put("}}");
+            sink.endRecord();
         }
-        json.endArray();
-        json.endObject();
+        sink.put("]}");
     }
-    json.endArray();
-    json.kv("units", result.units);
-    json.kv("jobs", result.jobs);
-    json.endObject();
-    out << "\n";
+    sink.put("],\"units\":");
+    sink.integer(static_cast<long long>(result.units));
+    sink.put(",\"jobs\":");
+    sink.integer(static_cast<long long>(result.jobs));
+    sink.put("}\n");
+    span.arg("bytes", sink.finish());
 }
 
 } // namespace sweep

@@ -4,6 +4,11 @@
  * full double precision — the CI smoke step diffs these byte-for-byte
  * across thread counts and against the serial `hcm project --csv`
  * reference) and a structured JSON document for notebooks.
+ *
+ * Both drivers append records into one reused buffer that goes to the
+ * stream in 64 KiB chunks, with every number printed by appendDouble()
+ * (util/format.hh). Each call is one obs span, "sweep.export", with
+ * format and bytes args.
  */
 
 #ifndef HCM_SWEEP_EXPORT_HH

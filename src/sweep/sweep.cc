@@ -78,8 +78,7 @@ evaluateUnit(const Unit &unit, SweepRow &row)
     // organization was baked into the shared evaluator tables.
     double f_eff =
         core::effectiveFraction(unit.f, unit.scenario->segments);
-    row.cells.clear();
-    row.cells.reserve(nodes.size());
+    row.cells.clear(); // capacity was reserved by runSweep
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         SweepCell cell;
         cell.node = nodes[i];
@@ -194,8 +193,15 @@ runSweep(const SweepSpec &spec, const SweepOptions &opts)
 
     // Canonical decomposition: one unit per (workload, f, scenario,
     // organization), row index == unit index.
+    // Both vectors and every row's cells are sized here, on the calling
+    // thread: grown by doubling, or allocated on a pool worker (from a
+    // per-thread malloc arena), they raised the peak RSS sweep after
+    // sweep.
+    std::size_t total_units = countUnits(spec);
     std::vector<Unit> units;
+    units.reserve(total_units);
     SweepResult result;
+    result.rows.reserve(total_units);
     for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
         std::string workload_name = spec.workloads[wi].name();
         for (std::size_t fi = 0; fi < spec.fractions.size(); ++fi) {
@@ -221,6 +227,7 @@ runSweep(const SweepSpec &spec, const SweepOptions &opts)
                     row.scenario = unit.scenario->name;
                     row.organization = org.name;
                     row.paperIndex = org.paperIndex;
+                    row.cells.reserve(nodes.size());
                     result.rows.push_back(std::move(row));
                 }
             }

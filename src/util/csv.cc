@@ -1,7 +1,5 @@
 #include "csv.hh"
 
-#include <sstream>
-
 #include "format.hh"
 #include "logging.hh"
 
@@ -30,12 +28,8 @@ CsvWriter::writeNumericRow(const std::vector<double> &cells)
 {
     std::vector<std::string> text;
     text.reserve(cells.size());
-    for (double v : cells) {
-        std::ostringstream oss;
-        oss.precision(17);
-        oss << v;
-        text.push_back(oss.str());
-    }
+    for (double v : cells)
+        appendDouble(text.emplace_back(), v, 17);
     writeRow(text);
 }
 

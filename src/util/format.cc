@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+
+#include "logging.hh"
 
 namespace hcm {
 
@@ -51,6 +54,17 @@ fmtSci(double value, int precision)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*e", precision, value);
     return buf;
+}
+
+void
+appendDouble(std::string &out, double value, int digits)
+{
+    // At most 17 digits: "-2.2250738585072014e-308" is 24 bytes.
+    hcm_assert(digits >= 0 && digits <= 17, "appendDouble digits ", digits);
+    char buf[32];
+    std::to_chars_result res = std::to_chars(
+        buf, buf + sizeof(buf), value, std::chars_format::general, digits);
+    out.append(buf, res.ptr);
 }
 
 std::string

@@ -26,6 +26,14 @@ std::string fmtSig(double value, int sig = 3);
 /** Format in scientific notation with @p precision mantissa digits. */
 std::string fmtSci(double value, int precision = 2);
 
+/**
+ * Append @p value to @p out exactly as printf("%.<digits>g") prints it
+ * ("inf", "-nan", "1e-05", ...), through std::to_chars: no locale, no
+ * stream, no allocation beyond @p out's growth. 17 digits round-trip
+ * every double, so equal doubles always print equal bytes.
+ */
+void appendDouble(std::string &out, double value, int digits);
+
 /** Format a value as a percentage ("97.5%"). */
 std::string fmtPercent(double fraction, int precision = 1);
 

@@ -6,8 +6,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 namespace {
 
@@ -56,12 +58,33 @@ readFile(const std::string &path)
     return buffer.str();
 }
 
+/**
+ * A scratch file path unique to this process, removed when it exits:
+ * ctest -j runs every test in its own process at the same time, so
+ * fixed names would collide.
+ */
+std::string
+tempPath(const std::string &name)
+{
+    static struct Cleanup
+    {
+        std::vector<std::string> paths;
+        ~Cleanup()
+        {
+            for (const std::string &path : paths)
+                std::remove(path.c_str());
+        }
+    } cleanup;
+    cleanup.paths.push_back(::testing::TempDir() + "hcm_cli_" +
+                            std::to_string(getpid()) + "_" + name);
+    return cleanup.paths.back();
+}
+
 /** A small batch request file on disk; returns its path. */
 std::string
 batchRequestsFile()
 {
-    std::string path =
-        ::testing::TempDir() + "hcm_cli_batch_requests.json";
+    std::string path = tempPath("batch_requests.json");
     writeFile(path, R"({"requests":[
         {"type":"optimize","workload":"fft:1024","f":0.99,"node":22},
         {"type":"optimize","workload":"mmm","f":0.9,"node":22},
@@ -228,7 +251,7 @@ TEST(CliTest, TrafficMeasurement)
 TEST(CliTest, BatchProfileOutEmitsInstrumentedCallSites)
 {
     std::string requests = batchRequestsFile();
-    std::string profile = ::testing::TempDir() + "hcm_cli_profile.txt";
+    std::string profile = tempPath("profile.txt");
     auto [code, out] = runCli("batch " + requests + " --profile-out " +
                               profile);
     EXPECT_EQ(code, 0) << out;
@@ -253,7 +276,7 @@ TEST(CliTest, BatchProfileOutEmitsInstrumentedCallSites)
 TEST(CliTest, BatchProfileJsonFormat)
 {
     std::string requests = batchRequestsFile();
-    std::string profile = ::testing::TempDir() + "hcm_cli_profile.json";
+    std::string profile = tempPath("profile.json");
     auto [code, out] = runCli("batch " + requests +
                               " --profile-out " + profile +
                               " --profile-format json");
@@ -271,7 +294,7 @@ TEST(CliTest, BatchProfileJsonFormat)
 
 TEST(CliTest, SimulateProfileOutCoversSimulatorScopes)
 {
-    std::string profile = ::testing::TempDir() + "hcm_cli_sim_prof.txt";
+    std::string profile = tempPath("sim_prof.txt");
     auto [code, out] =
         runCli("simulate --workload mmm --f 0.99 --node 22 "
                "--device gtx285 --chunks 500 --profile-out " +
@@ -439,7 +462,7 @@ TEST(CliTest, ServeProfileVerbReturnsJsonTree)
 #ifdef HCM_BENCH_DIR
 TEST(CliTest, BenchSmokeProducesSchemaValidResults)
 {
-    std::string results = ::testing::TempDir() + "hcm_cli_bench.json";
+    std::string results = tempPath("bench.json");
     auto [code, out] = runCli(std::string("bench --smoke --only "
                                           "bench_obs --bench-dir ") +
                               HCM_BENCH_DIR + " --results " + results);
@@ -472,8 +495,8 @@ TEST(CliTest, BenchDiffGatesOnSyntheticSlowdown)
             << R"(,"iterations":10,"repetition":0}]}]})";
         return doc.str();
     };
-    std::string old_path = ::testing::TempDir() + "hcm_bench_old.json";
-    std::string new_path = ::testing::TempDir() + "hcm_bench_new.json";
+    std::string old_path = tempPath("bench_old.json");
+    std::string new_path = tempPath("bench_new.json");
     writeFile(old_path, results(100.0));
     writeFile(new_path, results(200.0)); // synthetic 2x slowdown
 
@@ -502,7 +525,7 @@ TEST(CliTest, BenchDiffGatesOnSyntheticSlowdown)
 
 TEST(CliTest, BenchDiffRejectsNonResultsFiles)
 {
-    std::string bogus = ::testing::TempDir() + "hcm_bench_bogus.json";
+    std::string bogus = tempPath("bench_bogus.json");
     writeFile(bogus, R"({"schema":"other"})");
     auto [code, out] = runCli("bench-diff " + bogus + " " + bogus);
     EXPECT_EQ(code, 1);

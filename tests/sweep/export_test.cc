@@ -2,19 +2,173 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/bounds.hh"
+#include "obs/trace.hh"
 #include "sweep/export.hh"
+#include "sweep/spec.hh"
 #include "sweep/sweep.hh"
 #include "util/csv.hh"
+#include "util/json.hh"
 #include "util/json_parse.hh"
 
 namespace hcm {
 namespace sweep {
 namespace {
+
+/**
+ * The reference drivers: the stream-per-token writers the buffered
+ * export replaced, kept verbatim so every byte of the new writers is
+ * checked against an independent implementation (the CI `cmp` gates
+ * only compare the new writers with themselves).
+ */
+namespace oracle {
+
+std::string
+num(double v)
+{
+    std::ostringstream oss;
+    oss.precision(17);
+    oss << v;
+    return oss.str();
+}
+
+void
+writeCsvRow(std::ostream &out, const std::vector<std::string> &cells)
+{
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (i > 0)
+            out << ",";
+        out << CsvWriter::escape(cells[i]);
+    }
+    out << "\n";
+}
+
+void
+writeSweepCsv(std::ostream &out, const SweepResult &result)
+{
+    writeCsvRow(out, {"workload", "f", "scenario", "organization",
+                      "paperIndex", "node", "year", "feasible", "r", "n",
+                      "speedup", "limiter", "energyNormalized",
+                      "budgetArea", "budgetPower", "budgetBandwidth"});
+    for (const SweepRow &row : result.rows) {
+        for (const SweepCell &cell : row.cells) {
+            std::vector<std::string> cells = {
+                row.workload,
+                num(row.f),
+                row.scenario,
+                row.organization,
+                std::to_string(row.paperIndex),
+                cell.node.label(),
+                std::to_string(cell.node.year),
+                cell.design.feasible ? "1" : "0",
+            };
+            if (cell.design.feasible) {
+                cells.push_back(num(cell.design.r));
+                cells.push_back(num(cell.design.n));
+                cells.push_back(num(cell.design.speedup));
+                cells.push_back(core::limiterName(cell.design.limiter));
+                cells.push_back(num(cell.energyNormalized));
+            } else {
+                cells.insert(cells.end(), 5, "");
+            }
+            cells.push_back(num(cell.budget.area));
+            cells.push_back(num(cell.budget.power));
+            cells.push_back(num(cell.budget.bandwidth));
+            writeCsvRow(out, cells);
+        }
+    }
+}
+
+void
+writeSweepJson(std::ostream &out, const SweepResult &result)
+{
+    JsonWriter json(out);
+    json.beginObject();
+    json.key("rows").beginArray();
+    for (const SweepRow &row : result.rows) {
+        json.beginObject();
+        json.kv("workload", row.workload);
+        json.kv("f", row.f);
+        json.kv("scenario", row.scenario);
+        json.kv("organization", row.organization);
+        json.kv("paperIndex", row.paperIndex);
+        json.key("points").beginArray();
+        for (const SweepCell &cell : row.cells) {
+            json.beginObject();
+            json.kv("node", cell.node.label());
+            json.kv("year", cell.node.year);
+            json.kv("feasible", cell.design.feasible);
+            if (cell.design.feasible) {
+                json.kv("r", cell.design.r);
+                json.kv("n", cell.design.n);
+                json.kv("speedup", cell.design.speedup);
+                json.kv("limiter",
+                        core::limiterName(cell.design.limiter));
+                json.kv("energyNormalized", cell.energyNormalized);
+            }
+            json.key("budget").beginObject();
+            json.kv("area", cell.budget.area);
+            json.kv("power", cell.budget.power);
+            json.kv("bandwidth", cell.budget.bandwidth);
+            json.endObject();
+            json.endObject();
+        }
+        json.endArray();
+        json.endObject();
+    }
+    json.endArray();
+    json.kv("units", result.units);
+    json.kv("jobs", result.jobs);
+    json.endObject();
+    out << "\n";
+}
+
+} // namespace oracle
+
+using Writer = void (*)(std::ostream &, const SweepResult &);
+
+std::string
+render(Writer write, const SweepResult &result)
+{
+    std::ostringstream out;
+    write(out, result);
+    return out.str();
+}
+
+/** Both drivers must print exactly the reference drivers' bytes. */
+void
+expectOracleBytes(const SweepResult &result)
+{
+    struct Case
+    {
+        const char *format;
+        Writer got, want;
+    };
+    for (const Case &c : {Case{"csv", writeSweepCsv, oracle::writeSweepCsv},
+                          Case{"json", writeSweepJson,
+                               oracle::writeSweepJson}}) {
+        std::string got = render(c.got, result);
+        std::string want = render(c.want, result);
+        ASSERT_EQ(got.size(), want.size()) << c.format;
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size()), 0)
+            << c.format << " differs at byte "
+            << std::mismatch(got.begin(), got.end(), want.begin()).first -
+                   got.begin();
+    }
+}
 
 /** Serialize to CSV, then parse it back through util/csv. */
 std::vector<std::vector<std::string>>
@@ -98,6 +252,131 @@ TEST(SweepExportTest, JsonParsesAndEchoesShape)
     ASSERT_TRUE(units);
     EXPECT_EQ(static_cast<std::size_t>(units->asNumber()),
               result.units);
+}
+
+TEST(SweepExportTest, DenseSweepMatchesReferenceDrivers)
+{
+    SpecStrings strings;
+    strings.workloads = "mmm,bs,fft:64,fft:1024,fft:16384";
+    strings.fractions = "0,0.1,0.95,1";
+    strings.scenarios = "all";
+    std::string error;
+    std::optional<SweepSpec> spec = parseSweepSpec(strings, &error);
+    ASSERT_TRUE(spec) << error;
+    SweepResult result = runSweep(*spec, {});
+    // Several 64 KiB chunks, so the sink's flushes are exercised.
+    ASSERT_GT(render(writeSweepCsv, result).size(), 4u * 64 * 1024);
+    expectOracleBytes(result);
+}
+
+TEST(SweepExportTest, EdgeValuesAndStringsMatchReferenceDrivers)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double sub = std::numeric_limits<double>::denorm_min();
+
+    itrs::NodeParams odd = itrs::nodeTable().front();
+    odd.nodeNm = 7.25; // outside Table 6: its own label
+    odd.year = -1;
+
+    SweepRow quoted;
+    quoted.workload = "a,b \"c\"\nd";
+    quoted.f = -0.0;
+    quoted.scenario = "tab\there\\ \x01 \xc3\xa9";
+    quoted.organization = "org,\r\n";
+    quoted.paperIndex = -1;
+    for (const itrs::NodeParams &node : {itrs::nodeTable()[0], odd,
+                                         itrs::nodeTable()[0]}) {
+        SweepCell cell;
+        cell.node = node;
+        quoted.cells.push_back(cell);
+    }
+    // Infeasible, with non-finite budgets: CSV "inf"/"nan", JSON null.
+    quoted.cells[0].budget = {inf, -inf, nan};
+    // Feasible, with signed zeros, subnormals and non-finite values.
+    SweepCell &feasible = quoted.cells[1];
+    feasible.design.feasible = true;
+    feasible.design.r = -0.0;
+    feasible.design.n = sub;
+    feasible.design.speedup = inf;
+    feasible.design.limiter = core::Limiter::Thermal;
+    feasible.energyNormalized = nan;
+    feasible.budget = {2.2250738585072014e-308, -sub, 1e-310};
+    quoted.cells[2].design.feasible = true;
+    quoted.cells[2].design.speedup = 0.1 + 0.2;
+    quoted.cells[2].energyNormalized = 123456789012345678.0;
+
+    SweepRow plain;
+    plain.workload = "MMM";
+    plain.f = nan;
+    plain.scenario = "baseline";
+    plain.organization = "";
+    plain.paperIndex = 7;
+    // A row without cells prints nothing in CSV and "points":[] in JSON.
+
+    SweepRow last = quoted;
+    last.f = inf;
+
+    SweepResult result;
+    result.rows = {quoted, plain, last};
+    result.units = 3;
+    result.jobs = 12;
+    expectOracleBytes(result);
+
+    SweepResult empty;
+    expectOracleBytes(empty);
+}
+
+TEST(SweepExportTest, CsvPrintsNonFiniteBudgetsAndJsonNull)
+{
+    SweepRow row;
+    row.workload = "MMM";
+    SweepCell cell;
+    cell.node = itrs::nodeTable().front();
+    cell.budget = {std::numeric_limits<double>::infinity(), -0.0,
+                   std::numeric_limits<double>::quiet_NaN()};
+    row.cells.push_back(cell);
+    SweepResult result;
+    result.rows.push_back(row);
+    std::string csv = render(writeSweepCsv, result);
+    EXPECT_NE(csv.find(",0,,,,,,inf,-0,nan\n"), std::string::npos) << csv;
+    std::string json = render(writeSweepJson, result);
+    EXPECT_NE(json.find("\"budget\":{\"area\":null,\"power\":-0,"
+                        "\"bandwidth\":null}"),
+              std::string::npos)
+        << json;
+}
+
+TEST(SweepExportTest, EachExportIsOneSpanWithFormatAndBytes)
+{
+    SweepResult result = tinyResult();
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.clear();
+    tracer.setEnabled(true);
+    std::string csv = render(writeSweepCsv, result);
+    std::string json = render(writeSweepJson, result);
+    tracer.setEnabled(false);
+    std::ostringstream trace;
+    tracer.writeChromeTrace(trace);
+    tracer.clear();
+
+    std::optional<JsonValue> doc = JsonValue::parse(trace.str());
+    ASSERT_TRUE(doc);
+    const JsonValue *events = doc->find("traceEvents");
+    ASSERT_TRUE(events && events->isArray());
+    std::vector<std::pair<std::string, std::string>> exports;
+    for (const JsonValue &ev : events->items()) {
+        if (ev.find("name")->asString() != "sweep.export")
+            continue;
+        const JsonValue *args = ev.find("args");
+        ASSERT_TRUE(args);
+        exports.emplace_back(args->find("format")->asString(),
+                             args->find("bytes")->asString());
+    }
+    std::vector<std::pair<std::string, std::string>> want = {
+        {"csv", std::to_string(csv.size())},
+        {"json", std::to_string(json.size())}};
+    EXPECT_EQ(exports, want);
 }
 
 } // namespace

@@ -1,6 +1,12 @@
 /** @file Unit tests for util/format. */
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +14,51 @@
 
 namespace hcm {
 namespace {
+
+/** appendDouble(v, digits) must print exactly printf's %.<digits>g. */
+void
+expectPrintfBytes(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int digits : {17, 12}) {
+        char want[64];
+        std::snprintf(want, sizeof(want), "%.*g", digits, v);
+        std::string got = "prefix"; // appends, never overwrites
+        appendDouble(got, v, digits);
+        EXPECT_EQ(got, std::string("prefix") + want)
+            << "digits " << digits << ", bits 0x" << std::hex << bits;
+    }
+}
+
+TEST(FormatTest, AppendDoubleMatchesPrintfOnSpecialValues)
+{
+    using limits = std::numeric_limits<double>;
+    for (double v :
+         {0.0, -0.0, 1.0, -1.0, 0.1, 0.1 + 0.2, 1.0 / 3.0, 1e-5, 1e-4,
+          123456.0, 1e16, 1e17, 1e21, 123456789012345678.0, 0.5, 0.99,
+          0.999, limits::infinity(), -limits::infinity(),
+          limits::quiet_NaN(), -limits::quiet_NaN(), limits::denorm_min(),
+          -limits::denorm_min(), limits::min(), limits::max(),
+          limits::lowest(), limits::epsilon(), 1e-310})
+        expectPrintfBytes(v);
+}
+
+TEST(FormatTest, AppendDoubleMatchesPrintfOnRandomDoubles)
+{
+    std::mt19937_64 rng(20100601);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_real_distribution<double> exponent(-320.0, 308.0);
+    for (int i = 0; i < 20000; ++i) {
+        // Raw bit patterns cover every exponent, subnormals and NaNs.
+        std::uint64_t bits = rng();
+        double raw;
+        std::memcpy(&raw, &bits, sizeof(raw));
+        expectPrintfBytes(raw);
+        expectPrintfBytes(unit(rng));
+        expectPrintfBytes(-unit(rng) * std::pow(10.0, exponent(rng)));
+    }
+}
 
 TEST(FormatTest, FmtFixedBasics)
 {
