@@ -1,6 +1,6 @@
 /** @file Microbenchmarks of the extension model families: the
  *  Multi-Amdahl effective-organization transform (paid once per
- *  (org, scenario) before the batch kernel runs), the Lagrange share
+ *  scenario-aware BatchEvaluator::assign), the Lagrange share
  *  solver, and the optimizer/batch hot paths under a finite thermal
  *  budget — the fourth bound the kernels now fold into their min. */
 

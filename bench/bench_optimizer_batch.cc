@@ -11,6 +11,7 @@
 #include "core/optimizer_batch.hh"
 #include "core/paper.hh"
 #include "core/projection.hh"
+#include "support/scalar_oracles.hh"
 
 namespace {
 

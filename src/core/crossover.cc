@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/optimizer_batch.hh"
 #include "util/logging.hh"
 #include "util/math.hh"
 
@@ -51,18 +52,22 @@ requiredParallelism(dev::DeviceId device, const wl::Workload &w,
     if (!het)
         return std::nullopt;
     Budget budget = makeBudget(node, w, scenario);
-    OptimizerOptions opts;
-    opts.alpha = scenario.alpha;
+    // Tables built once and shared by every bisection step; assign()
+    // applies the scenario's alpha and segment reduction.
+    BatchEvaluator het_eval, cmp_evals[2];
+    het_eval.assign(*het, budget, scenario, {});
+    cmp_evals[0].assign(symmetricCmp(), budget, scenario, {});
+    cmp_evals[1].assign(asymmetricCmp(), budget, scenario, {});
 
     // "Better of the two CMPs" varies with f; fold it into the gap by
     // bisecting against the pointwise max.
     auto gap = [&](double f) {
-        DesignPoint c = optimize(*het, f, budget, opts);
+        DesignPoint c = het_eval.best(f);
         if (!c.feasible)
             return -target;
         double best_cmp = 0.0;
-        for (const Organization &cmp : {symmetricCmp(), asymmetricCmp()}) {
-            DesignPoint dp = optimize(cmp, f, budget, opts);
+        for (const BatchEvaluator &cmp : cmp_evals) {
+            DesignPoint dp = cmp.best(f);
             if (dp.feasible)
                 best_cmp = std::max(best_cmp, dp.speedup);
         }

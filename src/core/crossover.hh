@@ -41,8 +41,9 @@ std::optional<double> crossoverFraction(
 
 /**
  * Convenience: the minimum parallelism at which the HET for @p device
- * beats the better of the two CMPs by @p target at @p node under the
- * baseline scenario. nullopt when it never does.
+ * beats the better of the two CMPs by @p target at @p node under
+ * @p scenario (its alpha and segment profile included; f is the sweep
+ * fraction). nullopt when it never does.
  */
 std::optional<double> requiredParallelism(
     dev::DeviceId device, const wl::Workload &w, double target,

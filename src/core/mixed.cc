@@ -130,6 +130,10 @@ optimizeMixed(const std::vector<KernelSlot> &slots, FabricMode mode,
               const itrs::NodeParams &node, const Scenario &scenario,
               OptimizerOptions opts, const BceCalibration &calib)
 {
+    // Kernel slots are this model's segments; a Multi-Amdahl profile
+    // on top would be silently ignored.
+    hcm_assert(scenario.segments.empty(), "mixed model takes no segment "
+               "profile (scenario '", scenario.name, "')");
     double f_par = totalFraction(slots);
     double f_ser = 1.0 - f_par;
     opts.alpha = scenario.alpha;

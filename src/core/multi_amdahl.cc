@@ -107,13 +107,5 @@ effectiveOrganization(const Organization &org, const SegmentProfile &profile)
     return out;
 }
 
-double
-effectiveFraction(double f, const SegmentProfile &profile)
-{
-    if (profile.empty())
-        return f;
-    return profile.parallelWeight() * f;
-}
-
 } // namespace core
 } // namespace hcm

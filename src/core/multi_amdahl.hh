@@ -28,16 +28,17 @@
  *   phi_eff = Sum_i s_i* (phiScale_i * phi)
  *
  * all independent of f — so one effective Organization feeds the whole
- * f-grid and every downstream layer (Table 1 bounds, optimize(), the
- * SoA BatchEvaluator, enumerateDesigns, energy) runs UNCHANGED. For
+ * f-grid and every downstream layer (Table 1 bounds, the SoA tables,
+ * energy) runs UNCHANGED. BatchEvaluator::assign(org, budget, scenario,
+ * opts) is the one caller outside tests and benches. For
  * non-heterogeneous organizations all segments execute on the one
  * shared fabric, so only f_eff applies and the reduction is exact by
  * linearity of time. With N = 1 the share algebra collapses (s_1 = 1)
  * and the code uses the segment's scales directly, so a single-segment
  * profile with unit scales reproduces the classic model BYTE-FOR-BYTE
  * (the 0-ULP discipline of DESIGN.md "SoA batch kernel" extends to
- * this transform: it happens once per (org, scenario), outside the
- * kernels, and the kernels see ordinary parameters).
+ * this transform: it happens once per assign, outside the kernels,
+ * and the kernels see ordinary parameters).
  */
 
 #ifndef HCM_CORE_MULTI_AMDAHL_HH
@@ -68,10 +69,6 @@ struct EffectiveOrg
  */
 EffectiveOrg effectiveOrganization(const Organization &org,
                                    const SegmentProfile &profile);
-
-/** Effective model fraction for sweep fraction @p f: f when the
- *  profile is empty, fScale * f otherwise. */
-double effectiveFraction(double f, const SegmentProfile &profile);
 
 /**
  * The Lagrange-optimal U-core area shares s_i* for @p profile against

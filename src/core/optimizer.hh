@@ -103,27 +103,17 @@ void rCandidateGridInto(double cap, std::vector<double> &out);
 /**
  * Best design for @p org under @p budget at parallel fraction @p f.
  * Routed through the structure-of-arrays batch kernel
- * (core::BatchEvaluator); results are bit-identical to
- * optimizeScalar(), which tests and CI enforce.
+ * (core::BatchEvaluator); results are bit-identical to the scalar
+ * oracle in tests/support, which the tests enforce.
  */
 DesignPoint optimize(const Organization &org, double f,
                      const Budget &budget, OptimizerOptions opts = {});
 
 /**
- * The scalar reference implementation — one candidate at a time through
- * parallelBound() / evaluateSpeedup() / designEnergy(). Kept as the
- * oracle the batch kernel is verified against (0-ULP; see DESIGN.md);
- * not a hot path.
- */
-DesignPoint optimizeScalar(const Organization &org, double f,
-                           const Budget &budget,
-                           OptimizerOptions opts = {});
-
-/**
  * Dynamic CMP has no independent r (all n resources morph between one
  * big core and n BCEs), so it skips the r grid entirely; exposed so
- * optimize(), optimizeScalar(), and the batch kernel share one copy of
- * the bound-and-classify logic.
+ * optimize(), the batch kernel, and the scalar oracle share one copy
+ * of the bound-and-classify logic.
  */
 DesignPoint optimizeDynamicCmp(const Organization &org, double f,
                                const Budget &budget,

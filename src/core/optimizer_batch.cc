@@ -2,20 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <string>
 
+#include "core/multi_amdahl.hh"
 #include "util/logging.hh"
 #include "util/math.hh"
-
-#if defined(__has_include)
-#if __has_include(<experimental/simd>)
-#include <experimental/simd>
-#define HCM_HAVE_STD_SIMD 1
-#endif
-#endif
 
 namespace hcm {
 namespace core {
@@ -28,91 +19,15 @@ constexpr double kPosInf = std::numeric_limits<double>::infinity();
 /** Grid sizes up to this use a stack buffer for the value pass. */
 constexpr std::size_t kInlineGrid = 64;
 
-/** Test override installed by detail::forceBatchKernelForTest(). */
-const BatchKernel *g_forced_kernel = nullptr;
-
 /**
- * Startup self-check: the SIMD pass must reproduce the scalar pass
- * bit-for-bit on a probe table covering assorted magnitudes, masked
- * lanes, and a non-lane-multiple length. IEEE divide/add/select are
- * correctly rounded, so any mismatch means a broken vector math
- * environment — fall back rather than ship wrong lanes.
+ * The f > 0 speedup value pass shared by every organization kind:
+ * val[i] = 1 / ((1-f)/sqrt_r[i] + f/par_perf[i]), forced to -inf where
+ * feas[i] == 0.0. A plain loop the compiler is free to vectorize.
  */
-bool
-simdPassMatchesScalar()
-{
-    constexpr std::size_t n = 23; // deliberately not a lane multiple
-    double sqrt_r[n], par_perf[n], feas[n], scalar_val[n], simd_val[n];
-    for (std::size_t i = 0; i < n; ++i) {
-        sqrt_r[i] = std::sqrt(1.0 + static_cast<double>(i));
-        par_perf[i] = (i % 5 == 3) ? 1e-3
-                                   : 2.5 * static_cast<double>(i) + 0.75;
-        feas[i] = (i % 7 == 2) ? 0.0 : 1.0;
-    }
-    for (double f : {0.5, 0.999, 1.0}) {
-        detail::speedupValuePassScalar(sqrt_r, par_perf, feas, f,
-                                       scalar_val, n);
-        detail::speedupValuePassSimd(sqrt_r, par_perf, feas, f,
-                                     simd_val, n);
-        if (std::memcmp(scalar_val, simd_val, sizeof(scalar_val)) != 0)
-            return false;
-    }
-    return true;
-}
-
-BatchKernel
-resolveBatchKernel()
-{
-    const char *env = std::getenv("HCM_BATCH_KERNEL");
-    std::string requested = env ? env : "auto";
-    if (requested == "scalar")
-        return BatchKernel::Scalar;
-    if (requested != "auto" && requested != "simd") {
-        hcm_warn("unknown HCM_BATCH_KERNEL value; using auto",
-                 logField("value", requested));
-        requested = "auto";
-    }
-    if (!batchSimdCompiledIn()) {
-        if (requested == "simd")
-            hcm_warn("HCM_BATCH_KERNEL=simd requested but the SIMD pass "
-                     "is not compiled in; using scalar");
-        return BatchKernel::Scalar;
-    }
-    if (!simdPassMatchesScalar()) {
-        hcm_warn("batch SIMD pass disagrees with the scalar pass on the "
-                 "probe table; falling back to scalar");
-        return BatchKernel::Scalar;
-    }
-    return BatchKernel::Simd;
-}
-
-} // namespace
-
-bool
-batchSimdCompiledIn()
-{
-#ifdef HCM_HAVE_STD_SIMD
-    return true;
-#else
-    return false;
-#endif
-}
-
-BatchKernel
-batchKernelInUse()
-{
-    if (g_forced_kernel)
-        return *g_forced_kernel;
-    static const BatchKernel kernel = resolveBatchKernel();
-    return kernel;
-}
-
-namespace detail {
-
 void
-speedupValuePassScalar(const double *sqrt_r, const double *par_perf,
-                       const double *feas, double f, double *val,
-                       std::size_t count)
+speedupValuePass(const double *sqrt_r, const double *par_perf,
+                 const double *feas, double f, double *val,
+                 std::size_t count)
 {
     const double one_minus_f = 1.0 - f;
     for (std::size_t i = 0; i < count; ++i) {
@@ -123,51 +38,7 @@ speedupValuePassScalar(const double *sqrt_r, const double *par_perf,
     }
 }
 
-#ifdef HCM_HAVE_STD_SIMD
-
-void
-speedupValuePassSimd(const double *sqrt_r, const double *par_perf,
-                     const double *feas, double f, double *val,
-                     std::size_t count)
-{
-    namespace stdx = std::experimental;
-    using vd = stdx::native_simd<double>;
-    const std::size_t width = vd::size();
-    const vd one_minus_f(1.0 - f);
-    const vd vf(f);
-    const vd one(1.0);
-    std::size_t i = 0;
-    for (; i + width <= count; i += width) {
-        vd sq, pp, fe;
-        sq.copy_from(sqrt_r + i, stdx::element_aligned);
-        pp.copy_from(par_perf + i, stdx::element_aligned);
-        fe.copy_from(feas + i, stdx::element_aligned);
-        vd s = one / (one_minus_f / sq + vf / pp);
-        stdx::where(fe == 0.0, s) = vd(kNegInf);
-        s.copy_to(val + i, stdx::element_aligned);
-    }
-    speedupValuePassScalar(sqrt_r + i, par_perf + i, feas + i, f,
-                           val + i, count - i);
-}
-
-#else
-
-void
-speedupValuePassSimd(const double *, const double *, const double *,
-                     double, double *, std::size_t)
-{
-    hcm_panic("batch SIMD pass not compiled in");
-}
-
-#endif
-
-void
-forceBatchKernelForTest(const BatchKernel *kernel)
-{
-    g_forced_kernel = kernel;
-}
-
-} // namespace detail
+} // namespace
 
 BatchEvaluator::BatchEvaluator(const Organization &org,
                                const Budget &budget,
@@ -184,15 +55,13 @@ BatchEvaluator::assign(const Organization &org, const Budget &budget,
     if (org.isHet())
         org.ucore.check();
 
-    kind_ = org.kind;
-    bandwidthExempt_ = org.bandwidthExempt;
-    mu_ = org.ucore.mu;
-    phi_ = org.ucore.phi;
+    org_ = org;
     budget_ = budget;
     opts_ = opts;
+    fScale_ = 1.0;
     alphaHalfM1_ = opts.alpha / 2.0 - 1.0;
 
-    if (kind_ == OrgKind::DynamicCmp) {
+    if (org_.kind == OrgKind::DynamicCmp) {
         // No independent r: best() routes to optimizeDynamicCmp().
         r_.clear();
         sqrtR_.clear();
@@ -226,7 +95,7 @@ BatchEvaluator::assign(const Organization &org, const Budget &budget,
     const double p = budget.power;
     const double b = budget.bandwidth;
     const double th = budget.thermal;
-    switch (kind_) {
+    switch (org_.kind) {
       case OrgKind::SymmetricCmp: {
         powSym_.resize(g);
         for (std::size_t i = 0; i < g; ++i)
@@ -257,17 +126,18 @@ BatchEvaluator::assign(const Organization &org, const Budget &budget,
       }
       case OrgKind::Heterogeneous: {
         powSym_.clear();
-        pOverPhi_ = p / phi_;
-        bOverMu_ = b / mu_;
-        thOverPhi_ = th / phi_;
+        const double mu = org.ucore.mu;
+        pOverPhi_ = p / org.ucore.phi;
+        bOverMu_ = b / mu;
+        thOverPhi_ = th / org.ucore.phi;
         for (std::size_t i = 0; i < g; ++i) {
             double n_power = pOverPhi_ + r_[i];
-            double n_bw = bandwidthExempt_ ? kPosInf : bOverMu_ + r_[i];
+            double n_bw = org.bandwidthExempt ? kPosInf : bOverMu_ + r_[i];
             double n_thermal = thOverPhi_ + r_[i];
             n_[i] = std::min({area, n_power, n_bw, n_thermal});
             limiter_[i] = static_cast<unsigned char>(
                 classifyLimiter(area, n_power, n_bw, n_thermal));
-            parPerf_[i] = mu_ * (n_[i] - r_[i]);
+            parPerf_[i] = mu * (n_[i] - r_[i]);
         }
         break;
       }
@@ -294,12 +164,20 @@ BatchEvaluator::assign(const Organization &org, const Budget &budget,
     }
 }
 
+void
+BatchEvaluator::assign(const Organization &org, const Budget &budget,
+                       const Scenario &scenario, OptimizerOptions opts)
+{
+    opts.alpha = scenario.alpha;
+    EffectiveOrg eff = effectiveOrganization(org, scenario.segments);
+    assign(eff.org, budget, opts);
+    fScale_ = eff.fScale;
+}
+
 const std::vector<double> &
 BatchEvaluator::feasMask(double f) const
 {
-    bool need_headroom = f > 0.0 && (kind_ == OrgKind::AsymmetricCmp ||
-                                     kind_ == OrgKind::Heterogeneous);
-    return need_headroom ? feasHead_ : feasGeom_;
+    return needsParallelHeadroom(org_, f) ? feasHead_ : feasGeom_;
 }
 
 double
@@ -308,7 +186,7 @@ BatchEvaluator::speedupAt(std::size_t i, double f) const
     // model::perfSeq short-circuit for f == 0 asymmetric/heterogeneous;
     // everything else goes through the combine() expression (symmetric
     // reaches it even at f == 0, exactly like speedupSymmetric()).
-    if (f <= 0.0 && kind_ != OrgKind::SymmetricCmp)
+    if (f <= 0.0 && org_.kind != OrgKind::SymmetricCmp)
         return sqrtR_[i];
     double serial_time = (1.0 - f) / sqrtR_[i];
     double parallel_time = f > 0.0 ? f / parPerf_[i] : 0.0;
@@ -326,7 +204,7 @@ BatchEvaluator::energyAt(std::size_t i, double f) const
     e.serial = (1.0 - f) / serial_perf * pow_serial;
     if (f <= 0.0)
         return e;
-    switch (kind_) {
+    switch (org_.kind) {
       case OrgKind::SymmetricCmp: {
         double power_par = n_[i] * powSym_[i];
         e.parallel = f / parPerf_[i] * power_par;
@@ -336,7 +214,7 @@ BatchEvaluator::energyAt(std::size_t i, double f) const
         e.parallel = f;
         break;
       case OrgKind::Heterogeneous:
-        e.parallel = f * phi_ / mu_;
+        e.parallel = f * org_.ucore.phi / org_.ucore.mu;
         break;
       case OrgKind::DynamicCmp:
         hcm_panic("unreachable: dynamic has no grid");
@@ -345,15 +223,13 @@ BatchEvaluator::energyAt(std::size_t i, double f) const
 }
 
 DesignPoint
-BatchEvaluator::best(double f) const
+BatchEvaluator::best(double sweep_f) const
 {
-    hcm_assert(f >= 0.0 && f <= 1.0, "fraction outside [0,1]");
+    hcm_assert(sweep_f >= 0.0 && sweep_f <= 1.0, "fraction outside [0,1]");
+    const double f = fScale_ * sweep_f;
 
-    if (kind_ == OrgKind::DynamicCmp) {
-        Organization dyn;
-        dyn.kind = OrgKind::DynamicCmp;
-        return optimizeDynamicCmp(dyn, f, budget_, opts_);
-    }
+    if (org_.kind == OrgKind::DynamicCmp)
+        return optimizeDynamicCmp(org_, f, budget_, opts_);
 
     DesignPoint best;
     best.f = f;
@@ -375,14 +251,8 @@ BatchEvaluator::best(double f) const
     bool found = false;
     if (opts_.objective == Objective::MaxSpeedup) {
         if (f > 0.0) {
-            if (batchKernelInUse() == BatchKernel::Simd)
-                detail::speedupValuePassSimd(sqrtR_.data(),
-                                             parPerf_.data(), feas.data(),
-                                             f, val, g);
-            else
-                detail::speedupValuePassScalar(sqrtR_.data(),
-                                               parPerf_.data(),
-                                               feas.data(), f, val, g);
+            speedupValuePass(sqrtR_.data(), parPerf_.data(), feas.data(),
+                             f, val, g);
         } else {
             for (std::size_t i = 0; i < g; ++i)
                 val[i] = feas[i] != 0.0 ? speedupAt(i, f) : kNegInf;
@@ -426,10 +296,12 @@ BatchEvaluator::best(double f) const
 }
 
 void
-BatchEvaluator::evaluateAll(double f, std::vector<DesignPoint> &out) const
+BatchEvaluator::evaluateAll(double sweep_f,
+                            std::vector<DesignPoint> &out) const
 {
-    hcm_assert(f >= 0.0 && f <= 1.0, "fraction outside [0,1]");
-    hcm_assert(kind_ != OrgKind::DynamicCmp,
+    hcm_assert(sweep_f >= 0.0 && sweep_f <= 1.0, "fraction outside [0,1]");
+    const double f = fScale_ * sweep_f;
+    hcm_assert(org_.kind != OrgKind::DynamicCmp,
                "dynamic CMP has no candidate grid");
     const std::vector<double> &feas = feasMask(f);
     for (std::size_t i = 0; i < r_.size(); ++i) {
@@ -456,7 +328,7 @@ BatchEvaluator::evaluateContinuous(double r, double f,
     double n_power = 0.0;
     double n_bw = 0.0;
     double n_thermal = 0.0;
-    switch (kind_) {
+    switch (org_.kind) {
       case OrgKind::SymmetricCmp: {
         double pow_sym = std::pow(r, alphaHalfM1_);
         n_power = budget_.power / pow_sym;
@@ -471,7 +343,7 @@ BatchEvaluator::evaluateContinuous(double r, double f,
         break;
       case OrgKind::Heterogeneous:
         n_power = pOverPhi_ + r;
-        n_bw = bandwidthExempt_ ? kPosInf : bOverMu_ + r;
+        n_bw = org_.bandwidthExempt ? kPosInf : bOverMu_ + r;
         n_thermal = thOverPhi_ + r;
         break;
       case OrgKind::DynamicCmp:
@@ -480,9 +352,7 @@ BatchEvaluator::evaluateContinuous(double r, double f,
     double n = std::min({budget_.area, n_power, n_bw, n_thermal});
     if (n < r)
         return false;
-    bool need_headroom = f > 0.0 && (kind_ == OrgKind::AsymmetricCmp ||
-                                     kind_ == OrgKind::Heterogeneous);
-    if (need_headroom && n - r < kMinParallelHeadroom)
+    if (needsParallelHeadroom(org_, f) && n - r < kMinParallelHeadroom)
         return false;
 
     double sqrt_r = std::sqrt(r);
@@ -492,7 +362,7 @@ BatchEvaluator::evaluateContinuous(double r, double f,
     dp.limiter = classifyLimiter(budget_.area, n_power, n_bw, n_thermal);
 
     double par_perf = 0.0;
-    switch (kind_) {
+    switch (org_.kind) {
       case OrgKind::SymmetricCmp:
         par_perf = (n / r) * sqrt_r;
         break;
@@ -500,12 +370,12 @@ BatchEvaluator::evaluateContinuous(double r, double f,
         par_perf = n - r;
         break;
       case OrgKind::Heterogeneous:
-        par_perf = mu_ * (n - r);
+        par_perf = org_.ucore.mu * (n - r);
         break;
       case OrgKind::DynamicCmp:
         break;
     }
-    if (f <= 0.0 && kind_ != OrgKind::SymmetricCmp) {
+    if (f <= 0.0 && org_.kind != OrgKind::SymmetricCmp) {
         dp.speedup = sqrt_r;
     } else {
         double serial_time = (1.0 - f) / sqrt_r;
@@ -516,7 +386,7 @@ BatchEvaluator::evaluateContinuous(double r, double f,
     EnergyBreakdown e;
     e.serial = (1.0 - f) / sqrt_r * std::pow(sqrt_r, opts_.alpha);
     if (f > 0.0) {
-        switch (kind_) {
+        switch (org_.kind) {
           case OrgKind::SymmetricCmp: {
             double power_par = n * std::pow(r, alphaHalfM1_);
             e.parallel = f / par_perf * power_par;
@@ -526,7 +396,7 @@ BatchEvaluator::evaluateContinuous(double r, double f,
             e.parallel = f;
             break;
           case OrgKind::Heterogeneous:
-            e.parallel = f * phi_ / mu_;
+            e.parallel = f * org_.ucore.phi / org_.ucore.mu;
             break;
           case OrgKind::DynamicCmp:
             break;

@@ -13,15 +13,17 @@
  * whole f-grid against one table (the sweep engine does exactly that).
  *
  * Numerical contract: every element is computed by the SAME IEEE-754
- * expression the scalar oracle (optimizeScalar / the model:: helpers)
- * evaluates — subexpressions are hoisted as whole values, never
+ * expression the scalar oracle (the model:: helpers, one candidate at a
+ * time) evaluates — subexpressions are hoisted as whole values, never
  * re-associated — so batch results are BYTE-IDENTICAL to the scalar
- * path (a 0-ULP bound, enforced by tests/core/optimizer_batch_test.cc
- * and the CI equivalence smoke; see DESIGN.md "SoA batch kernel").
- * The optional SIMD pass only uses correctly-rounded IEEE ops
- * (divide/add/select), so it preserves bit-identity; it is verified
- * against the scalar pass at startup and falls back if it ever
- * disagrees.
+ * path (a 0-ULP bound, enforced against the test-only oracles in
+ * tests/support; see DESIGN.md "SoA batch kernel").
+ *
+ * Scenarios. assign(org, budget, scenario, opts) is the one place the
+ * Multi-Amdahl reduction (core/multi_amdahl.hh) is applied: it takes
+ * alpha from the scenario, bakes the effective organization into the
+ * tables, and keeps fScale, so best(f) / evaluateAll(f) take the SWEEP
+ * fraction and evaluate the model at fScale * f.
  */
 
 #ifndef HCM_CORE_OPTIMIZER_BATCH_HH
@@ -31,48 +33,10 @@
 #include <vector>
 
 #include "core/optimizer.hh"
+#include "core/scenario.hh"
 
 namespace hcm {
 namespace core {
-
-/** Which implementation the batch value passes run on. */
-enum class BatchKernel {
-    Scalar, ///< portable loops (still auto-vectorizable)
-    Simd,   ///< std::experimental::simd lanes, scalar-checked at startup
-};
-
-/** True when the SIMD pass was compiled in on this toolchain. */
-bool batchSimdCompiledIn();
-
-/**
- * The kernel the process resolved at first use: HCM_BATCH_KERNEL
- * (scalar|simd|auto, default auto) requests one; "auto" and "simd"
- * run the SIMD pass against the scalar pass on a probe table first and
- * fall back to Scalar (with a warning) on any bit mismatch or when the
- * pass is not compiled in.
- */
-BatchKernel batchKernelInUse();
-
-namespace detail {
-
-/**
- * The f > 0 speedup value pass shared by every organization kind:
- * val[i] = 1 / ((1-f)/sqrt_r[i] + f/par_perf[i]), forced to -inf where
- * feas[i] == 0.0. Exposed for the startup self-check and tests.
- */
-void speedupValuePassScalar(const double *sqrt_r, const double *par_perf,
-                            const double *feas, double f, double *val,
-                            std::size_t count);
-
-/** SIMD twin of speedupValuePassScalar(); panics if not compiled in. */
-void speedupValuePassSimd(const double *sqrt_r, const double *par_perf,
-                          const double *feas, double f, double *val,
-                          std::size_t count);
-
-/** Test hook: pin the kernel (pass Scalar/Simd) or restore dispatch. */
-void forceBatchKernelForTest(const BatchKernel *kernel);
-
-} // namespace detail
 
 /**
  * Precomputed r-grid tables for one (organization, budget, options)
@@ -98,19 +62,33 @@ class BatchEvaluator
                 const OptimizerOptions &opts);
 
     /**
-     * Best design at parallel fraction @p f — the same contract (and
-     * bit-exact results) as optimizeScalar() on the assigned triple,
-     * including the continuousR golden-section refinement, which is
-     * bracketed to the grid neighborhood of the discrete argmax.
+     * assign() under @p scenario: alpha comes from the scenario, and a
+     * segment profile is reduced to its effective organization once
+     * here (identity and fScale 1 for single-f scenarios), so callers
+     * pass the sweep fraction to best() / evaluateAll().
+     */
+    void assign(const Organization &org, const Budget &budget,
+                const Scenario &scenario, OptimizerOptions opts);
+
+    /**
+     * Best design at sweep fraction @p f, evaluated at fScale * f (the
+     * returned DesignPoint::f) — the same contract and bit-exact
+     * results as the scalar oracle on the assigned triple, including
+     * the continuousR golden-section refinement, which is bracketed to
+     * the grid neighborhood of the discrete argmax.
      */
     DesignPoint best(double f) const;
 
     /**
-     * Every feasible grid candidate at @p f appended to @p out in grid
-     * order — the per-organization slice of enumerateDesigns(), bit-
-     * exact against the scalar enumeration.
+     * Every feasible grid candidate at sweep fraction @p f appended to
+     * @p out in grid order — the per-organization slice of
+     * enumerateDesigns(), bit-exact against the scalar enumeration.
      */
     void evaluateAll(double f, std::vector<DesignPoint> &out) const;
+
+    /** The organization the tables model: the effective one when a
+     *  segment profile was assigned. */
+    const Organization &organization() const { return org_; }
 
     /** The r-candidate grid the tables cover (empty == infeasible). */
     const std::vector<double> &rGrid() const { return r_; }
@@ -131,13 +109,11 @@ class BatchEvaluator
     void refineContinuous(std::size_t best_idx, double f,
                           DesignPoint &best) const;
 
-    // Snapshot of the triple (plain scalars only — no allocation).
-    OrgKind kind_ = OrgKind::SymmetricCmp;
-    bool bandwidthExempt_ = false;
-    double mu_ = 1.0;
-    double phi_ = 1.0;
+    // Snapshot of the triple.
+    Organization org_;
     Budget budget_;
     OptimizerOptions opts_;
+    double fScale_ = 1.0;      ///< model fraction = fScale * sweep f
     double alphaHalfM1_ = 0.0; ///< alpha/2 - 1, the symmetric pow exponent
     double pOverPhi_ = 0.0;    ///< P/phi (heterogeneous power bound)
     double bOverMu_ = 0.0;     ///< B/mu (heterogeneous bandwidth bound)

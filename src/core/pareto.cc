@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/multi_amdahl.hh"
 #include "core/optimizer_batch.hh"
 #include "util/logging.hh"
 
@@ -28,69 +27,22 @@ ParetoPoint::dominates(const ParetoPoint &other) const
 }
 
 std::vector<ParetoPoint>
-enumerateDesignsScalar(const wl::Workload &w, double f,
-                       const itrs::NodeParams &node,
-                       const Scenario &scenario, OptimizerOptions opts,
-                       const BceCalibration &calib)
-{
-    opts.alpha = scenario.alpha;
-    Budget budget = makeBudget(node, w, scenario, calib);
-
-    std::vector<ParetoPoint> points;
-    double cap = std::min(opts.rMax, serialRCap(budget, opts.alpha));
-    std::vector<double> candidates = rCandidateGrid(cap);
-    double f_eff = effectiveFraction(f, scenario.segments);
-    for (const Organization &org : paperOrganizations(w, calib)) {
-        EffectiveOrg eff = effectiveOrganization(org, scenario.segments);
-        for (double r : candidates) {
-            // Evaluate the design at exactly this r.
-            ParallelBound pb =
-                parallelBound(eff.org, r, budget, opts.alpha);
-            if (pb.n < r)
-                continue;
-            if (needsParallelHeadroom(eff.org, f_eff) &&
-                pb.n - r < kMinParallelHeadroom)
-                continue;
-
-            ParetoPoint pt;
-            pt.orgName = org.name;
-            pt.paperIndex = org.paperIndex;
-            pt.design.f = f_eff;
-            pt.design.r = r;
-            pt.design.n = pb.n;
-            pt.design.limiter = pb.limiter;
-            pt.design.speedup = evaluateSpeedup(eff.org, f_eff, r, pb.n);
-            pt.design.energy =
-                designEnergy(eff.org, f_eff, r, pb.n, opts.alpha);
-            pt.design.feasible = true;
-            pt.energyNormalized = normalizedEnergy(
-                pt.design.energy, node.relPowerPerTransistor);
-            points.push_back(pt);
-        }
-    }
-    return points;
-}
-
-std::vector<ParetoPoint>
 enumerateDesigns(const wl::Workload &w, double f,
                  const itrs::NodeParams &node, const Scenario &scenario,
                  OptimizerOptions opts, const BceCalibration &calib)
 {
-    opts.alpha = scenario.alpha;
     Budget budget = makeBudget(node, w, scenario, calib);
 
-    // One SoA table per organization; the per-candidate bound walk of
-    // the scalar oracle above becomes contiguous array passes. Results
-    // are bit-identical (enforced by tests/core/optimizer_batch_test.cc).
+    // One SoA table per organization; the scalar oracle's per-candidate
+    // bound walk becomes contiguous array passes. Results are
+    // bit-identical (enforced by tests/core/optimizer_batch_test.cc).
     std::vector<ParetoPoint> points;
     std::vector<DesignPoint> designs;
     BatchEvaluator evaluator;
-    double f_eff = effectiveFraction(f, scenario.segments);
     for (const Organization &org : paperOrganizations(w, calib)) {
-        EffectiveOrg eff = effectiveOrganization(org, scenario.segments);
-        evaluator.assign(eff.org, budget, opts);
+        evaluator.assign(org, budget, scenario, opts);
         designs.clear();
-        evaluator.evaluateAll(f_eff, designs);
+        evaluator.evaluateAll(f, designs);
         for (const DesignPoint &dp : designs) {
             ParetoPoint pt;
             pt.orgName = org.name;

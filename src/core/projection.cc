@@ -1,6 +1,6 @@
 #include "projection.hh"
 
-#include "core/multi_amdahl.hh"
+#include "core/optimizer_batch.hh"
 
 namespace hcm {
 namespace core {
@@ -10,19 +10,17 @@ projectOrganization(const Organization &org, const wl::Workload &w,
                     double f, const Scenario &scenario,
                     OptimizerOptions opts, const BceCalibration &calib)
 {
-    opts.alpha = scenario.alpha;
-    // Multi-Amdahl scenarios reduce to the single-f model evaluated at
-    // an effective (org, f); identity for single-f scenarios.
-    EffectiveOrg eff = effectiveOrganization(org, scenario.segments);
-    double f_eff = effectiveFraction(f, scenario.segments);
-
+    // One scratch evaluator per thread, reassigned per node: steady
+    // state never allocates, exactly like optimize().
+    thread_local BatchEvaluator evaluator;
     ProjectionSeries series;
     series.org = org;
     for (const itrs::NodeParams &node : itrs::nodeTable()) {
         NodePoint pt;
         pt.node = node;
         pt.budget = makeBudget(node, w, scenario, calib);
-        pt.design = optimize(eff.org, f_eff, pt.budget, opts);
+        evaluator.assign(org, pt.budget, scenario, opts);
+        pt.design = evaluator.best(f);
         series.points.push_back(pt);
     }
     return series;

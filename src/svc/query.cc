@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "core/budget.hh"
-#include "core/multi_amdahl.hh"
 #include "core/optimizer_batch.hh"
 #include "core/organization.hh"
 #include "core/pareto.hh"
@@ -34,12 +33,8 @@ evaluateAtNode(const Query &q, core::Objective objective)
     const itrs::NodeParams &node = itrs::nodeParams(q.node);
     core::Budget budget = core::makeBudget(node, q.workload, scenario);
     core::OptimizerOptions opts;
-    opts.alpha = scenario.alpha;
     opts.objective = objective;
 
-    // Multi-Amdahl scenarios evaluate at the effective (org, f)
-    // reduction; identity for single-f scenarios.
-    double f_eff = core::effectiveFraction(q.f, scenario.segments);
     std::vector<ResultRow> rows;
     core::BatchEvaluator evaluator;
     for (const core::Organization &org :
@@ -47,12 +42,10 @@ evaluateAtNode(const Query &q, core::Objective objective)
         if (q.device && org.isHet() && org.device != q.device)
             continue;
         // One SoA evaluator reused across the organization loop: each
-        // assign() recycles the previous table's capacity; bit-identical
-        // to core::optimize on the same (org, budget, opts).
-        core::EffectiveOrg eff =
-            core::effectiveOrganization(org, scenario.segments);
-        evaluator.assign(eff.org, budget, opts);
-        core::DesignPoint dp = evaluator.best(f_eff);
+        // assign() recycles the previous table's capacity and applies
+        // the scenario (alpha, segment reduction) itself.
+        evaluator.assign(org, budget, scenario, opts);
+        core::DesignPoint dp = evaluator.best(q.f);
         ResultRow row;
         row.org = org.name;
         row.node = node.label();

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/multi_amdahl.hh"
 #include "core/optimizer_batch.hh"
 #include "hwc/counter_region.hh"
 #include "obs/metrics.hh"
@@ -73,11 +72,6 @@ evaluateUnit(const Unit &unit, SweepRow &row)
     hwc::CounterRegion counters(&span);
 
     const std::vector<itrs::NodeParams> &nodes = itrs::nodeTable();
-    // Multi-Amdahl scenarios evaluate at the effective model fraction
-    // (identity for single-f scenarios); the matching effective
-    // organization was baked into the shared evaluator tables.
-    double f_eff =
-        core::effectiveFraction(unit.f, unit.scenario->segments);
     row.cells.clear(); // capacity was reserved by runSweep
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         SweepCell cell;
@@ -85,11 +79,13 @@ evaluateUnit(const Unit &unit, SweepRow &row)
         cell.budget = (*unit.budgets)[i];
         // Shared table lookup: the f-independent work (bounds, limiter
         // classification, pow) was done once in runSweep's evaluator
-        // pass and is amortized over the whole fraction grid. Results
-        // are bit-identical to core::optimize on (org, budget, opts).
+        // pass and is amortized over the whole fraction grid; the
+        // tables carry the scenario's segment reduction, so they take
+        // the sweep fraction. Results are bit-identical to the scalar
+        // oracle on the effective (org, budget, opts).
         cell.design =
             (*unit.evaluators)[unit.orgIndex * nodes.size() + i]
-                .best(f_eff);
+                .best(unit.f);
         cell.energyNormalized =
             cell.design.feasible
                 ? core::normalizedEnergy(
@@ -174,19 +170,15 @@ runSweep(const SweepSpec &spec, const SweepOptions &opts)
     evaluators.reserve(budgets.size());
     for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
         for (std::size_t si = 0; si < spec.scenarios.size(); ++si) {
-            core::OptimizerOptions eopts = spec.opts;
-            eopts.alpha = spec.scenarios[si].alpha;
             const std::vector<core::Budget> &per_node =
                 budgets[wi * spec.scenarios.size() + si];
             std::vector<core::BatchEvaluator> table(orgs[wi].size() *
                                                     nodes.size());
-            for (std::size_t oi = 0; oi < orgs[wi].size(); ++oi) {
-                core::EffectiveOrg eff = core::effectiveOrganization(
-                    orgs[wi][oi], spec.scenarios[si].segments);
+            for (std::size_t oi = 0; oi < orgs[wi].size(); ++oi)
                 for (std::size_t ni = 0; ni < nodes.size(); ++ni)
                     table[oi * nodes.size() + ni].assign(
-                        eff.org, per_node[ni], eopts);
-            }
+                        orgs[wi][oi], per_node[ni], spec.scenarios[si],
+                        spec.opts);
             evaluators.push_back(std::move(table));
         }
     }

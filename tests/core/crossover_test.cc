@@ -1,8 +1,13 @@
 /** @file Tests for the crossover (required-parallelism) analysis. */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/crossover.hh"
+#include "core/multi_amdahl.hh"
+#include "support/scalar_oracles.hh"
+#include "util/math.hh"
 
 namespace hcm {
 namespace core {
@@ -96,6 +101,53 @@ TEST(CrossoverTest, BetterFabricsNeedLessParallelism)
                                      node22);
     ASSERT_TRUE(f_asic && f_gpu);
     EXPECT_LT(*f_asic, *f_gpu);
+}
+
+TEST(CrossoverTest, SegmentScenarioBisectsTheEffectiveModel)
+{
+    // Under a segment profile the answer is the bisection on the
+    // effective organizations at fScale * f, computed here by hand with
+    // the scalar oracle; it is not the single-f answer.
+    const Scenario &scenario = scenarioByName("multi-amdahl");
+    const wl::Workload w = wl::Workload::fft(1024);
+    const double target = 1.5;
+    Budget budget = makeBudget(node22, w, scenario);
+    OptimizerOptions opts;
+    opts.alpha = scenario.alpha;
+    EffectiveOrg cmps[] = {
+        effectiveOrganization(symmetricCmp(), scenario.segments),
+        effectiveOrganization(asymmetricCmp(), scenario.segments)};
+    int moved = 0;
+    for (dev::DeviceId id : {dev::DeviceId::Lx760, dev::DeviceId::Gtx285,
+                             dev::DeviceId::Gtx480, dev::DeviceId::Asic}) {
+        EffectiveOrg het_eff = effectiveOrganization(
+            *heterogeneous(id, w), scenario.segments);
+        auto gap = [&](double f) {
+            DesignPoint c = optimizeScalar(
+                het_eff.org, het_eff.fScale * f, budget, opts);
+            if (!c.feasible)
+                return -target;
+            double best_cmp = 0.0;
+            for (const EffectiveOrg &cmp : cmps) {
+                DesignPoint dp = optimizeScalar(
+                    cmp.org, cmp.fScale * f, budget, opts);
+                if (dp.feasible)
+                    best_cmp = std::max(best_cmp, dp.speedup);
+            }
+            if (best_cmp <= 0.0)
+                return target;
+            return c.speedup / best_cmp - target;
+        };
+        std::optional<double> want;
+        if (gap(0.9999) >= 0.0)
+            want = gap(0.0) >= 0.0 ? 0.0 : bisect(gap, 0.0, 0.9999, 1e-5);
+
+        auto got = requiredParallelism(id, w, target, node22, scenario);
+        EXPECT_EQ(got, want) << dev::deviceName(id);
+        if (got != requiredParallelism(id, w, target, node22))
+            ++moved;
+    }
+    EXPECT_GT(moved, 0) << "the segment profile changed no answer";
 }
 
 TEST(CrossoverTest, MissingCalibrationIsNullopt)

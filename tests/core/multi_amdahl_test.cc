@@ -5,9 +5,10 @@
  * thermal bound (Budget::thermal through bounds/optimizer/batch).
  *
  * The PR 9 0-ULP discipline extends to both: a fixed-seed randomized
- * sweep with finite thermal budgets memcmp's optimize() and the
- * BatchEvaluator against optimizeScalar(), and a single-segment
- * profile with unit scales must reproduce the classic single-f model
+ * sweep with finite thermal budgets and every registry scenario
+ * memcmp's optimize() and the BatchEvaluator against optimizeScalar()
+ * on the effective (org, fScale * f), and a single-segment profile
+ * with unit scales must reproduce the classic single-f model
  * byte-for-byte end to end.
  */
 
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "core/pareto.hh"
 #include "core/projection.hh"
 #include "itrs/scaling.hh"
+#include "support/scalar_oracles.hh"
 #include "workloads/workload.hh"
 
 namespace hcm {
@@ -176,7 +179,7 @@ TEST(ThermalBoundTest, RandomizedSweepMatchesScalarOracleBitForBit)
 {
     // The PR 9 fixed-seed discipline with a finite thermal budget in
     // play: batch and scalar paths must agree to the bit across kinds,
-    // objectives, alphas, and continuousR.
+    // objectives, alphas, continuousR, and every registry scenario.
     std::mt19937 rng(20260807);
     std::uniform_real_distribution<double> uarea(1.0, 400.0);
     std::uniform_real_distribution<double> upow(0.4, 300.0);
@@ -213,11 +216,24 @@ TEST(ThermalBoundTest, RandomizedSweepMatchesScalarOracleBitForBit)
             coin(rng) ? Objective::MaxSpeedup : Objective::MinEnergy;
 
         BatchEvaluator evaluator(org, budget, opts);
+        // The scenario overload reduces the segment profile itself; the
+        // oracle gets the reduction applied by hand.
+        const Scenario &scenario =
+            allScenarios()[trial % allScenarios().size()];
+        BatchEvaluator scenario_eval;
+        scenario_eval.assign(org, budget, scenario, opts);
+        EffectiveOrg eff = effectiveOrganization(org, scenario.segments);
+        OptimizerOptions scenario_opts = opts;
+        scenario_opts.alpha = scenario.alpha;
         double fractions[] = {0.0, uf(rng), 0.999, 1.0};
         for (double f : fractions) {
             DesignPoint want = optimizeScalar(org, f, budget, opts);
             expectBitIdentical(optimize(org, f, budget, opts), want);
             expectBitIdentical(evaluator.best(f), want);
+            SCOPED_TRACE(scenario.name + " f=" + std::to_string(f));
+            expectBitIdentical(scenario_eval.best(f),
+                               optimizeScalar(eff.org, eff.fScale * f,
+                                              budget, scenario_opts));
         }
     }
 }
@@ -266,7 +282,7 @@ TEST(MultiAmdahlTest, EmptyProfileIsIdentity)
     EXPECT_TRUE(bitEq(eff.fScale, 1.0));
     EXPECT_TRUE(bitEq(eff.org.ucore.mu, het.ucore.mu));
     EXPECT_TRUE(bitEq(eff.org.ucore.phi, het.ucore.phi));
-    EXPECT_TRUE(bitEq(effectiveFraction(0.7, empty), 0.7));
+    EXPECT_TRUE(bitEq(eff.fScale * 0.7, 0.7));
 }
 
 TEST(MultiAmdahlTest, SingleCanonicalSegmentReproducesClassicBitForBit)
@@ -284,7 +300,7 @@ TEST(MultiAmdahlTest, SingleCanonicalSegmentReproducesClassicBitForBit)
         EXPECT_TRUE(bitEq(eff.org.ucore.mu, org.ucore.mu));
         EXPECT_TRUE(bitEq(eff.org.ucore.phi, org.ucore.phi));
         for (double f : {0.0, 0.5, 0.999, 1.0}) {
-            double f_eff = effectiveFraction(f, one);
+            double f_eff = eff.fScale * f;
             EXPECT_TRUE(bitEq(f_eff, f));
             expectBitIdentical(optimize(eff.org, f_eff, budget, {}),
                                optimize(org, f, budget, {}));
@@ -301,7 +317,7 @@ TEST(MultiAmdahlTest, SingleScaledSegmentScalesUcoreDirectly)
     EXPECT_TRUE(bitEq(eff.fScale, 0.9));
     EXPECT_TRUE(bitEq(eff.org.ucore.mu, 0.5 * 10.0));
     EXPECT_TRUE(bitEq(eff.org.ucore.phi, 1.25 * 0.8));
-    EXPECT_TRUE(bitEq(effectiveFraction(0.5, one), 0.9 * 0.5));
+    EXPECT_TRUE(bitEq(eff.fScale * 0.5, 0.9 * 0.5));
 }
 
 TEST(MultiAmdahlTest, SharesAreTheLagrangeOptimum)
@@ -375,8 +391,7 @@ TEST(MultiAmdahlTest, NonHetKindsOnlyScaleTheFraction)
         // The evaluation is literally the classic model at f_eff.
         Budget budget{300.0, 70.0, 90.0};
         for (double f : {0.0, 0.8, 1.0}) {
-            double f_eff = effectiveFraction(f, profile);
-            EXPECT_TRUE(bitEq(f_eff, f_scale * f));
+            double f_eff = eff.fScale * f;
             expectBitIdentical(optimize(eff.org, f_eff, budget, {}),
                                optimize(org, f_eff, budget, {}));
         }

@@ -6,8 +6,7 @@
  * batch kernel"). A fixed-seed randomized sweep crosses all four
  * organization kinds with random budgets, fractions, alphas,
  * objectives, and continuousR; edge cases (f = 0, f = 1, r at the
- * serial cap, infeasible budgets) are pinned explicitly; and the SIMD
- * value pass is checked word-for-word against the scalar pass.
+ * serial cap, infeasible budgets) are pinned explicitly.
  */
 
 #include <cmath>
@@ -20,6 +19,7 @@
 #include "core/optimizer_batch.hh"
 #include "core/pareto.hh"
 #include "itrs/scaling.hh"
+#include "support/scalar_oracles.hh"
 #include "workloads/workload.hh"
 
 namespace hcm {
@@ -197,66 +197,26 @@ TEST(BatchEvaluatorTest, ReassignRecyclesTablesAcrossTriples)
     }
 }
 
-TEST(BatchKernelTest, SimdPassMatchesScalarPassWordForWord)
+TEST(BatchEvaluatorTest, PlainAssignForgetsScenarioReduction)
 {
-    if (!batchSimdCompiledIn())
-        GTEST_SKIP() << "SIMD pass not compiled in";
-    std::mt19937 rng(7);
-    std::uniform_real_distribution<double> usqrt(1.0, 8.0);
-    std::uniform_real_distribution<double> uperf(1e-6, 1e3);
-    std::bernoulli_distribution feasible(0.8);
-    // Lengths straddle every lane-tail shape.
-    for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 16u, 17u, 63u}) {
-        std::vector<double> sqrt_r(n), par_perf(n), feas(n);
-        std::vector<double> scalar_val(n), simd_val(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            sqrt_r[i] = usqrt(rng);
-            par_perf[i] = uperf(rng);
-            feas[i] = feasible(rng) ? 1.0 : 0.0;
-        }
-        for (double f : {1e-9, 0.5, 0.999, 1.0}) {
-            detail::speedupValuePassScalar(sqrt_r.data(),
-                                           par_perf.data(), feas.data(),
-                                           f, scalar_val.data(), n);
-            detail::speedupValuePassSimd(sqrt_r.data(), par_perf.data(),
-                                         feas.data(), f,
-                                         simd_val.data(), n);
-            EXPECT_EQ(std::memcmp(scalar_val.data(), simd_val.data(),
-                                  n * sizeof(double)),
-                      0)
-                << "n=" << n << " f=" << f;
-        }
-    }
-}
-
-TEST(BatchKernelTest, ForcedKernelsAgreeOnFullOptimization)
-{
-    if (!batchSimdCompiledIn())
-        GTEST_SKIP() << "SIMD pass not compiled in";
-    Budget budget{200.0, 40.0, 60.0};
-    Organization ucore = orgOfKind(OrgKind::Heterogeneous, 8.0, 0.7,
+    // The scenario overload keeps the effective organization and
+    // fScale; the plain overload (optimize()'s scratch path) must drop
+    // both, or a reused evaluator would scale the next caller's f.
+    const Scenario &multi = scenarioByName("multi-amdahl");
+    Organization ucore = orgOfKind(OrgKind::Heterogeneous, 12.0, 0.5,
                                    false);
-    const Organization orgs[] = {symmetricCmp(), asymmetricCmp(), ucore};
-    const BatchKernel scalar_kernel = BatchKernel::Scalar;
-    const BatchKernel simd_kernel = BatchKernel::Simd;
-    for (const Organization &org : orgs) {
-        for (double f : {0.3, 0.9, 0.999}) {
-            detail::forceBatchKernelForTest(&scalar_kernel);
-            DesignPoint via_scalar = optimize(org, f, budget);
-            detail::forceBatchKernelForTest(&simd_kernel);
-            DesignPoint via_simd = optimize(org, f, budget);
-            detail::forceBatchKernelForTest(nullptr);
-            expectBitIdentical(via_simd, via_scalar);
-        }
-    }
-}
+    Budget budget{200.0, 40.0, 60.0};
+    BatchEvaluator evaluator;
+    evaluator.assign(ucore, budget, multi, {});
+    EXPECT_FALSE(bitEq(evaluator.organization().ucore.mu, 12.0));
+    EXPECT_TRUE(bitEq(evaluator.best(0.9).f,
+                      multi.segments.parallelWeight() * 0.9));
 
-TEST(BatchKernelTest, DispatchResolvesToARealKernel)
-{
-    BatchKernel k = batchKernelInUse();
-    EXPECT_TRUE(k == BatchKernel::Scalar || k == BatchKernel::Simd);
-    if (!batchSimdCompiledIn())
-        EXPECT_EQ(k, BatchKernel::Scalar);
+    evaluator.assign(ucore, budget, {});
+    EXPECT_TRUE(bitEq(evaluator.organization().ucore.mu, 12.0));
+    for (double f : {0.0, 0.9, 1.0})
+        expectBitIdentical(evaluator.best(f),
+                           optimizeScalar(ucore, f, budget, {}));
 }
 
 TEST(BatchEvaluatorDeathTest, RejectsBadFraction)

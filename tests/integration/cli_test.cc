@@ -222,6 +222,18 @@ TEST(CliTest, MixedRequiresSlots)
     EXPECT_NE(out.find("--slot"), std::string::npos);
 }
 
+TEST(CliTest, MixedRejectsSegmentScenario)
+{
+    // The mixed model has its own kernel slots; a Multi-Amdahl profile
+    // would be silently ignored, so it is refused instead.
+    auto [code, out] = runCli(
+        "mixed --slot asic:mmm:0.5 --scenario multi-amdahl");
+    EXPECT_EQ(code, 1);
+    EXPECT_NE(out.find("segment profile"), std::string::npos);
+    EXPECT_NE(out.find("multi-amdahl"), std::string::npos);
+    EXPECT_EQ(out.find("Mixed-fabric chip"), std::string::npos);
+}
+
 TEST(CliTest, CrossoverTable)
 {
     auto [code, out] = runCli(

@@ -20,7 +20,7 @@
 #include "core/crossover.hh"
 #include "core/export.hh"
 #include "core/mixed.hh"
-#include "core/multi_amdahl.hh"
+#include "core/optimizer_batch.hh"
 #include "core/paper.hh"
 #include "devices/roofline.hh"
 #include "core/pareto.hh"
@@ -858,9 +858,6 @@ cmdOptimize(const Options &opts)
     const core::Scenario &scenario = core::scenarioByName(opts.scenario);
     const itrs::NodeParams &node = itrs::nodeParams(opts.node);
     core::Budget budget = core::makeBudget(node, opts.workload, scenario);
-    core::OptimizerOptions oopts;
-    oopts.alpha = scenario.alpha;
-    double f_eff = core::effectiveFraction(opts.f, scenario.segments);
 
     std::cout << "budgets at " << node.label() << " (BCE units): A="
               << fmtSig(budget.area, 3) << " P=" << fmtSig(budget.power, 3)
@@ -876,15 +873,14 @@ cmdOptimize(const Options &opts)
                 fmtFixed(opts.f, 4));
     t.setHeaders({"Organization", "r", "n", "speedup", "limiter",
                   "energy (norm.)"});
+    core::BatchEvaluator evaluator;
     for (const core::Organization &org :
          core::paperOrganizations(opts.workload)) {
         if (!opts.device.empty() && org.isHet() &&
             org.device != parseDevice(opts.device))
             continue;
-        core::EffectiveOrg eff =
-            core::effectiveOrganization(org, scenario.segments);
-        core::DesignPoint dp =
-            core::optimize(eff.org, f_eff, budget, oopts);
+        evaluator.assign(org, budget, scenario, {});
+        core::DesignPoint dp = evaluator.best(opts.f);
         if (!dp.feasible) {
             t.addRow({org.name, "-", "-", "infeasible", "-", "-"});
             continue;
@@ -936,13 +932,9 @@ cmdSimulate(const Options &opts)
     if (!org)
         hcm_fatal("no calibration data for that device/workload pair");
     core::Budget budget = core::makeBudget(node, opts.workload, scenario);
-    core::OptimizerOptions oopts;
-    oopts.alpha = scenario.alpha;
-    core::EffectiveOrg eff =
-        core::effectiveOrganization(*org, scenario.segments);
-    double f_eff = core::effectiveFraction(opts.f, scenario.segments);
-    core::DesignPoint design =
-        core::optimize(eff.org, f_eff, budget, oopts);
+    core::BatchEvaluator evaluator;
+    evaluator.assign(*org, budget, scenario, {});
+    core::DesignPoint design = evaluator.best(opts.f);
     if (!design.feasible)
         hcm_fatal("design infeasible at this node/scenario");
     if (design.n - design.r < 1.0)
@@ -950,10 +942,13 @@ cmdSimulate(const Options &opts)
                   fmtSig(design.n - design.r, 3),
                   "); the event simulator needs whole tiles");
 
-    sim::Machine m = sim::Machine::fromDesign(eff.org, design, budget,
+    // The simulator runs the model the design was optimized on: the
+    // effective organization at the effective fraction design.f.
+    sim::Machine m = sim::Machine::fromDesign(evaluator.organization(),
+                                              design, budget,
                                               scenario.alpha);
     sim::SimStats stats = sim::ChipSimulator(m).run(
-        sim::TaskGraph::amdahl(f_eff, opts.chunks));
+        sim::TaskGraph::amdahl(design.f, opts.chunks));
     std::cout << "design: r=" << fmtSig(design.r, 3) << ", tiles="
               << m.tiles << " (n=" << fmtSig(design.n, 4) << "), "
               << core::limiterName(design.limiter) << "-limited\n";
@@ -1088,6 +1083,10 @@ cmdMixed(const Options &opts)
     core::FabricMode mode = opts.shared ? core::FabricMode::Shared
                                         : core::FabricMode::Partitioned;
     const core::Scenario &scenario = core::scenarioByName(opts.scenario);
+    if (!scenario.segments.empty())
+        hcm_fatal("mixed models its own kernel slots and takes no "
+                  "segment profile; scenario '", scenario.name,
+                  "' has one");
 
     TextTable t(std::string("Mixed-fabric chip (") +
                 (opts.shared ? "shared" : "partitioned") +
