@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_counters.hh"
 #include "core/multi_amdahl.hh"
 #include "core/optimizer_batch.hh"
 #include "core/projection.hh"
@@ -34,7 +33,6 @@ void
 BM_EffectiveOrganization(benchmark::State &state)
 {
     Fixture fx;
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         core::EffectiveOrg eff =
             core::effectiveOrganization(fx.org, fx.multi.segments);
@@ -47,7 +45,6 @@ void
 BM_SegmentShares(benchmark::State &state)
 {
     Fixture fx;
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         std::vector<double> shares =
             core::segmentShares(fx.multi.segments, fx.org.ucore.mu);
@@ -62,7 +59,6 @@ BM_OptimizeThermalBounded(benchmark::State &state)
     // optimize() with all four bounds live: the thermal budget is
     // finite, so no branch short-circuits the fourth min operand.
     Fixture fx;
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         core::DesignPoint dp =
             core::optimize(fx.org, 0.99, fx.thermalBudget, fx.opts);
@@ -81,7 +77,6 @@ BM_BatchBestThermalBounded(benchmark::State &state)
     core::BatchEvaluator evaluator(fx.org, fx.thermalBudget, fx.opts);
     const double fractions[] = {0.5,   0.9,   0.95,  0.975, 0.99,
                                 0.995, 0.999, 0.75,  0.25,  0.999};
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         for (double f : fractions) {
             core::DesignPoint dp = evaluator.best(f);
@@ -99,7 +94,6 @@ BM_ProjectMultiAmdahl(benchmark::State &state)
     // per-node optimize, the path `hcm project --scenario multi-amdahl`
     // and the sweep engine pay per organization.
     Fixture fx;
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         core::ProjectionSeries series = core::projectOrganization(
             fx.org, fx.w, 0.99, fx.multi);

@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_counters.hh"
 #include "core/paper.hh"
 #include "core/projection.hh"
 
@@ -29,7 +28,6 @@ BM_OptimizeDesignPoint(benchmark::State &state)
     auto w = wl::Workload::fft(1024);
     auto org = *core::heterogeneous(dev::DeviceId::Asic, w);
     core::Budget b = core::makeBudget(itrs::nodeParams(22.0), w);
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         core::DesignPoint dp = core::optimize(org, 0.99, b);
         benchmark::DoNotOptimize(dp);
@@ -56,7 +54,6 @@ void
 BM_ProjectAllOrganizations(benchmark::State &state)
 {
     auto w = wl::Workload::mmm();
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         auto all = core::projectAll(w, 0.99);
         benchmark::DoNotOptimize(all.data());

@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_counters.hh"
 #include "core/optimizer_batch.hh"
 #include "core/paper.hh"
 #include "core/projection.hh"
@@ -32,7 +31,6 @@ BM_BatchAssign(benchmark::State &state)
 {
     Fixture fx;
     core::BatchEvaluator evaluator;
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         evaluator.assign(fx.org, fx.budget, fx.opts);
         benchmark::DoNotOptimize(evaluator.gridSize());
@@ -49,7 +47,6 @@ BM_BatchBestReused(benchmark::State &state)
     core::BatchEvaluator evaluator(fx.org, fx.budget, fx.opts);
     const double fractions[] = {0.5,   0.9,   0.95,  0.975, 0.99,
                                 0.995, 0.999, 0.75,  0.25,  0.999};
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         for (double f : fractions) {
             core::DesignPoint dp = evaluator.best(f);
@@ -67,7 +64,6 @@ BM_ScalarOracleOptimize(benchmark::State &state)
     // bit-identical to); optimize() itself is benchmarked in
     // bench_optimizer's BM_OptimizeDesignPoint.
     Fixture fx;
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         core::DesignPoint dp =
             core::optimizeScalar(fx.org, 0.99, fx.budget, fx.opts);
@@ -82,7 +78,6 @@ BM_BatchEvaluateAll(benchmark::State &state)
     Fixture fx;
     core::BatchEvaluator evaluator(fx.org, fx.budget, fx.opts);
     std::vector<core::DesignPoint> designs;
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         designs.clear();
         evaluator.evaluateAll(0.99, designs);

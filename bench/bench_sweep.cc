@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_counters.hh"
 #include "sweep/sweep.hh"
 
 namespace {
@@ -64,7 +63,6 @@ void
 BM_ProjectionReferenceSlice(benchmark::State &state)
 {
     core::Scenario scenario = core::baselineScenario();
-    bench::GbenchCounters counters(state);
     for (auto _ : state) {
         sweep::SweepResult result = sweep::projectionReference(
             wl::Workload::fft(1024), 0.99, scenario);

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <vector>
 
-#include "hwc/counter_region.hh"
-
 namespace hcm {
 namespace hwc {
 
@@ -106,9 +104,7 @@ measureMachineCeilings(const ProbeOptions &opts)
     for (int pass = 0; pass < opts.passes; ++pass) {
         std::uint64_t ops = 0;
         double seconds = 0.0;
-        hwc::CounterRegion region; // active only when collection is on
         peakPass(opts.minSeconds, &ops, &seconds);
-        region.end();
         double rate = seconds > 0.0
                           ? static_cast<double>(ops) / seconds
                           : 0.0;
@@ -116,13 +112,6 @@ measureMachineCeilings(const ProbeOptions &opts)
             out.peakOpsPerSec = rate;
             out.peakOps = ops;
             out.peakSeconds = seconds;
-        }
-        if (region.delta().available && seconds > 0.0) {
-            double ins_rate =
-                static_cast<double>(region.delta().instructions) /
-                seconds;
-            if (ins_rate > out.peakInsPerSec)
-                out.peakInsPerSec = ins_rate;
         }
     }
     return out;

@@ -10,11 +10,6 @@
  * this build's codegen. Both time with the steady clock and take the
  * best of several calibration passes, so the ceilings are what a
  * perfectly-behaved hot loop could reach, not an average over noise.
- *
- * When hardware counters are available, the peak-ops kernel is also
- * measured under a CounterRegion and its retired-instruction rate is
- * reported: self-roofline placements use instructions as the ops
- * proxy, and a ceiling in the same unit keeps the chart coherent.
  */
 
 #ifndef HCM_HWC_MACHINE_PROBE_HH
@@ -45,12 +40,6 @@ struct MachineCeilings
     double streamBytesPerSec = 0.0;
     /** Attainable multiply-add throughput, FP ops/s. */
     double peakOpsPerSec = 0.0;
-    /**
-     * Retired instructions/s of the peak-ops kernel (0 when counters
-     * are unavailable) — the compute ceiling in the unit the
-     * self-roofline places points in.
-     */
-    double peakInsPerSec = 0.0;
     /** Bytes the winning stream pass moved / its wall seconds. */
     std::uint64_t streamBytes = 0;
     double streamSeconds = 0.0;

@@ -1,17 +1,13 @@
 #include "self_roofline.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 
 #include "core/budget.hh"
 #include "core/optimizer.hh"
 #include "core/organization.hh"
 #include "core/projection.hh"
-#include "devices/roofline.hh"
 #include "itrs/scaling.hh"
-#include "plot/ascii_chart.hh"
 #include "util/format.hh"
 #include "util/json.hh"
 #include "util/table.hh"
@@ -24,9 +20,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /**
- * Run @p body repeatedly for at least @p min_seconds under one counter
- * region, so per-iteration noise averages out and the region's delta
- * covers the whole window the wall clock covers.
+ * Run @p body repeatedly for at least @p min_seconds, so
+ * per-iteration noise averages out over one wall-clock window.
  */
 RooflinePoint
 measureLoop(const std::string &name, double min_seconds,
@@ -34,7 +29,6 @@ measureLoop(const std::string &name, double min_seconds,
 {
     RooflinePoint point;
     point.name = name;
-    CounterRegion region;
     Clock::time_point start = Clock::now();
     double elapsed = 0.0;
     do {
@@ -43,51 +37,24 @@ measureLoop(const std::string &name, double min_seconds,
         elapsed = std::chrono::duration<double>(Clock::now() - start)
                       .count();
     } while (elapsed < min_seconds);
-    region.end();
     point.seconds = elapsed;
-    const CounterSample &d = region.delta();
-    point.measured = d.available;
-    if (d.available) {
-        point.instructions = d.instructions;
-        point.cycles = d.cycles;
-        point.hasLlc = d.hasLlc;
-        point.llcLoads = d.llcLoads;
-        point.llcMisses = d.llcMisses;
-    }
     return point;
 }
 
 } // namespace
 
-bool
-SelfRooflineReport::placeable() const
-{
-    if (machine.peakInsPerSec <= 0.0 ||
-        machine.streamBytesPerSec <= 0.0)
-        return false;
-    return std::any_of(points.begin(), points.end(),
-                       [](const RooflinePoint &p) {
-                           return p.measured && p.intensity() > 0.0;
-                       });
-}
-
 SelfRooflineReport
 measureSelfRoofline(const SelfRooflineOptions &opts)
 {
     SelfRooflineReport report;
-    Collector &collector = Collector::instance();
-    bool was_enabled = collector.enabled();
-    collector.setEnabled(true);
-    report.counters = collector.probe();
-
     report.machine = measureMachineCeilings(opts.probe);
 
     // Hot loop 1: the optimizer's r-grid sweep — every organization the
     // paper plots, optimized at the 40nm budgets. This is the inner
     // loop of every projection and sweep verb; it now exercises the SoA
     // batch kernel (core::BatchEvaluator) that optimize() routes
-    // through, so its arithmetic intensity reflects the shipped path,
-    // not the scalar oracle.
+    // through, so its time reflects the shipped path, not the scalar
+    // oracle.
     const wl::Workload w = wl::Workload::mmm();
     const auto orgs = core::paperOrganizations(w);
     const core::Budget budget =
@@ -104,8 +71,6 @@ measureSelfRoofline(const SelfRooflineOptions &opts)
     report.points.push_back(measureLoop(
         "sweep-slice", opts.loopMinSeconds,
         [&] { core::projectAll(w, 0.999); }));
-
-    collector.setEnabled(was_enabled);
     return report;
 }
 
@@ -115,20 +80,11 @@ writeSelfRooflineJson(const SelfRooflineReport &report,
 {
     JsonWriter json(out);
     json.beginObject();
-    json.kv("schema", "hcm-self-roofline/v1");
-
-    json.key("counters").beginObject();
-    json.kv("available", report.counters.available);
-    if (!report.counters.available)
-        json.kv("reason", report.counters.reason);
-    json.kv("perf_event_paranoid", report.counters.perfEventParanoid);
-    json.endObject();
+    json.kv("schema", "hcm-self-roofline/v2");
 
     json.key("machine").beginObject();
     json.kv("stream_bytes_per_sec", report.machine.streamBytesPerSec);
     json.kv("peak_flops_per_sec", report.machine.peakOpsPerSec);
-    if (report.machine.peakInsPerSec > 0.0)
-        json.kv("peak_ins_per_sec", report.machine.peakInsPerSec);
     json.kv("stream_bytes",
             static_cast<long long>(report.machine.streamBytes));
     json.kv("stream_seconds", report.machine.streamSeconds);
@@ -143,27 +99,10 @@ writeSelfRooflineJson(const SelfRooflineReport &report,
         json.kv("name", p.name);
         json.kv("iterations", static_cast<long long>(p.iterations));
         json.kv("seconds", p.seconds);
-        json.kv("measured", p.measured);
-        if (p.measured) {
-            json.kv("instructions",
-                    static_cast<long long>(p.instructions));
-            json.kv("cycles", static_cast<long long>(p.cycles));
-            json.kv("ipc", p.ipc());
-            json.kv("ins_per_sec", p.insPerSec());
-            if (p.hasLlc) {
-                json.kv("llc_loads",
-                        static_cast<long long>(p.llcLoads));
-                json.kv("llc_misses",
-                        static_cast<long long>(p.llcMisses));
-                json.kv("llc_miss_rate", p.llcMissRate());
-                json.kv("intensity_ins_per_byte", p.intensity());
-            }
-        }
+        json.kv("ns_per_iter", p.nsPerIter());
         json.endObject();
     }
     json.endArray();
-
-    json.kv("placeable", report.placeable());
     json.endObject();
     out << "\n";
 }
@@ -171,108 +110,23 @@ writeSelfRooflineJson(const SelfRooflineReport &report,
 std::string
 renderSelfRoofline(const SelfRooflineReport &report)
 {
+    const MachineCeilings &m = report.machine;
     std::string out;
     out += "Measured self-roofline (host ceilings from calibrated "
            "microkernels)\n\n";
-    out += "  stream bandwidth : " +
-           fmtSig(report.machine.streamBytesPerSec / 1e9, 3) +
+    out += "  stream bandwidth : " + fmtSig(m.streamBytesPerSec / 1e9, 3) +
            " GB/s (triad, " +
-           fmtSig(static_cast<double>(report.machine.streamBytes) /
-                      (1u << 20),
-                  3) +
+           fmtSig(static_cast<double>(m.streamBytes) / (1u << 20), 3) +
            " MiB moved)\n";
-    out += "  peak compute     : " +
-           fmtSig(report.machine.peakOpsPerSec / 1e9, 3) +
-           " Gflops/s (multiply-add chains)\n";
-    if (report.machine.peakInsPerSec > 0.0)
-        out += "  peak instruction : " +
-               fmtSig(report.machine.peakInsPerSec / 1e9, 3) +
-               " Gins/s (ceiling for placed points)\n";
-    if (report.counters.available) {
-        out += "  hardware counters: available\n";
-    } else {
-        out += "  hardware counters: UNAVAILABLE — " +
-               report.counters.reason + "\n";
-        out += "  (hot loops timed by wall clock only; no roofline "
-               "placement)\n";
-    }
-    out += "\n";
+    out += "  peak compute     : " + fmtSig(m.peakOpsPerSec / 1e9, 3) +
+           " Gflops/s (multiply-add chains)\n\n";
 
     TextTable table("Hot loops");
-    table.setHeaders({"loop", "iters", "seconds", "Gins/s", "IPC",
-                      "LLC miss%", "ins/byte", "% of ceiling"});
-    for (const RooflinePoint &p : report.points) {
-        std::string gins = p.measured
-                               ? fmtSig(p.insPerSec() / 1e9, 3)
-                               : "n/a";
-        std::string ipc = p.measured ? fmtSig(p.ipc(), 3) : "n/a";
-        std::string miss =
-            p.hasLlc ? fmtPercent(p.llcMissRate(), 2) : "n/a";
-        std::string intensity =
-            p.hasLlc && p.intensity() > 0.0 ? fmtSig(p.intensity(), 3)
-                                            : "n/a";
-        std::string attained = "n/a";
-        if (p.measured && report.machine.peakInsPerSec > 0.0 &&
-            report.machine.streamBytesPerSec > 0.0 &&
-            p.intensity() > 0.0) {
-            dev::Roofline roof(
-                Perf(report.machine.peakInsPerSec / 1e9),
-                Bandwidth(report.machine.streamBytesPerSec / 1e9));
-            double attainable =
-                roof.attainable(p.intensity()).value();
-            if (attainable > 0.0)
-                attained = fmtPercent(
-                    (p.insPerSec() / 1e9) / attainable, 1);
-        }
+    table.setHeaders({"loop", "iters", "seconds", "ns/iter"});
+    for (const RooflinePoint &p : report.points)
         table.addRow({p.name, std::to_string(p.iterations),
-                      fmtSig(p.seconds, 3), gins, ipc, miss, intensity,
-                      attained});
-    }
+                      fmtSig(p.seconds, 3), fmtSig(p.nsPerIter(), 3)});
     out += table.render();
-
-    if (!report.placeable())
-        return out;
-
-    // Log-log roofline: the measured ceilings in Gins/s vs ins/byte,
-    // with each hot loop as a one-point series.
-    dev::Roofline roof(Perf(report.machine.peakInsPerSec / 1e9),
-                       Bandwidth(report.machine.streamBytesPerSec /
-                                 1e9));
-    double ridge = roof.ridgeIntensity();
-    double lo = ridge / 64.0, hi = ridge * 64.0;
-    for (const RooflinePoint &p : report.points) {
-        if (!p.measured || p.intensity() <= 0.0)
-            continue;
-        lo = std::min(lo, p.intensity() / 2.0);
-        hi = std::max(hi, p.intensity() * 2.0);
-    }
-
-    plot::Axis x{"intensity (instructions/byte)", true, {}};
-    plot::Axis y{"Gins/s", true, {}};
-    plot::AsciiChart chart("Self-roofline (measured)", x, y);
-
-    plot::Series ceiling("machine ceiling");
-    const int kSamples = 64;
-    for (int i = 0; i <= kSamples; ++i) {
-        double frac = static_cast<double>(i) / kSamples;
-        double intensity =
-            lo * std::pow(hi / lo, frac);
-        ceiling.add(intensity, roof.attainable(intensity).value());
-    }
-    chart.add(ceiling);
-
-    for (const RooflinePoint &p : report.points) {
-        if (!p.measured || p.intensity() <= 0.0)
-            continue;
-        plot::Series s(p.name, plot::LineStyle::Points);
-        s.add(p.intensity(), p.insPerSec() / 1e9);
-        chart.add(s);
-    }
-
-    out += "\n" + chart.render();
-    out += "\nridge at " + fmtSig(ridge, 3) +
-           " instructions/byte; points left of the ridge are "
-           "bandwidth-bound, right are compute-bound.\n";
     return out;
 }
 

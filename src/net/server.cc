@@ -86,16 +86,18 @@ TcpServer::stop()
             return;
         _stopping = true;
         // Wake every connection thread blocked in recv; the threads
-        // see EOF/error and wind down on their own.
+        // see EOF/error and wind down on their own. A socket still in
+        // _connections is open: its thread closes it under _mu.
         for (auto &conn : _connections)
             conn->sock.shutdownBoth();
     }
-    // Closing the listener makes the blocked accept() fail, ending
-    // the accept loop.
+    // Shutting the listener down makes the blocked accept() fail,
+    // ending the accept loop; the descriptor is released only after
+    // the join, so the accept thread never reads a closing fd.
     _listener.shutdownBoth();
-    _listener.close();
     if (_acceptThread.joinable())
         _acceptThread.join();
+    _listener.close();
     std::vector<std::unique_ptr<Connection>> connections;
     std::vector<std::thread> finished;
     {
@@ -181,11 +183,12 @@ TcpServer::connectionLoop(Connection *conn)
             break;
         }
     }
-    conn->sock.close();
     netMetrics().liveConnections.add(-1);
-    // Hand the thread handle to the reap list: a thread cannot join
-    // itself, so the accept loop (or stop()) joins it later.
+    // Close under _mu, where stop() shuts live sockets down, and hand
+    // the thread handle to the reap list: a thread cannot join itself,
+    // so the accept loop (or stop()) joins it later.
     std::lock_guard<std::mutex> lock(_mu);
+    conn->sock.close();
     for (auto it = _connections.begin(); it != _connections.end(); ++it) {
         if (it->get() == conn) {
             _finished.push_back(std::move((*it)->thread));

@@ -76,14 +76,13 @@ fmtNs(double ns)
 
 /**
  * Collect "binary:benchmark" -> per-repetition realTimeNs samples
- * (and IPC samples, where recorded) from one results document.
- * Accepts both the current and the v1 schema — baselines predating
- * the counter columns still diff. False when the tag matches neither.
+ * from one results document. Accepts both the current and the v1
+ * schema; any other row columns are ignored. False when the tag
+ * matches neither.
  */
 bool
 collectSamples(const JsonValue &doc,
                std::map<std::string, std::vector<double>> &samples,
-               std::map<std::string, std::vector<double>> &ipc_samples,
                std::string *error)
 {
     if (!doc.isObject()) {
@@ -126,9 +125,6 @@ collectSamples(const JsonValue &doc,
             std::string key =
                 binary->asString() + ":" + name->asString();
             samples[key].push_back(real->asNumber());
-            const JsonValue *ipc = bench.find("ipc");
-            if (ipc && ipc->isNumber() && ipc->asNumber() > 0.0)
-                ipc_samples[key].push_back(ipc->asNumber());
         }
     }
     return true;
@@ -167,8 +163,7 @@ void
 writeBenchResults(
     std::ostream &out,
     const std::vector<std::pair<std::string, JsonValue>> &suites,
-    bool smoke, const std::vector<std::string> &failures,
-    const BenchCounterMeta &counters)
+    bool smoke, const std::vector<std::string> &failures)
 {
     const obs::BuildInfo &build = obs::buildInfo();
     JsonWriter json(out);
@@ -202,13 +197,6 @@ writeBenchResults(
                 json.kv("date", date->asString());
         }
     }
-    json.endObject();
-
-    json.key("counters").beginObject();
-    json.kv("available", counters.available);
-    if (!counters.available && !counters.reason.empty())
-        json.kv("reason", counters.reason);
-    json.kv("perfEventParanoid", counters.perfEventParanoid);
     json.endObject();
 
     json.key("failures").beginArray();
@@ -250,18 +238,6 @@ writeBenchResults(
                         rep && rep->isNumber()
                             ? static_cast<long long>(rep->asNumber())
                             : 0LL);
-                // Counter columns: gbench flattens user counters
-                // (state.counters["..."]) into the benchmark object;
-                // copy the hwc ones through when a suite measured
-                // them. Absent fields mean "not measured", so a
-                // counter-less host never fabricates zeros.
-                for (const char *field :
-                     {"instructions", "cycles", "ipc",
-                      "llcMissRate"}) {
-                    const JsonValue *v = entry.find(field);
-                    if (v && v->isNumber() && v->asNumber() > 0.0)
-                        json.kv(field, v->asNumber());
-                }
                 json.endObject();
             }
         }
@@ -344,8 +320,7 @@ runBenchPipeline(const BenchRunOptions &opts, std::ostream &out,
             *error = "every bench binary failed; nothing to record";
         return false;
     }
-    writeBenchResults(out, suites, opts.smoke, failures,
-                      opts.counters);
+    writeBenchResults(out, suites, opts.smoke, failures);
     return true;
 }
 
@@ -355,15 +330,13 @@ diffBenchResults(const JsonValue &old_doc, const JsonValue &new_doc,
 {
     std::map<std::string, std::vector<double>> old_samples;
     std::map<std::string, std::vector<double>> new_samples;
-    std::map<std::string, std::vector<double>> old_ipc;
-    std::map<std::string, std::vector<double>> new_ipc;
     std::string why;
-    if (!collectSamples(old_doc, old_samples, old_ipc, &why)) {
+    if (!collectSamples(old_doc, old_samples, &why)) {
         if (error)
             *error = "old results: " + why;
         return std::nullopt;
     }
-    if (!collectSamples(new_doc, new_samples, new_ipc, &why)) {
+    if (!collectSamples(new_doc, new_samples, &why)) {
         if (error)
             *error = "new results: " + why;
         return std::nullopt;
@@ -371,7 +344,6 @@ diffBenchResults(const JsonValue &old_doc, const JsonValue &new_doc,
 
     BenchDiffReport report;
     double tolerance = 1.0 + opts.tolerancePct / 100.0;
-    double ipc_tolerance = 1.0 + opts.counterTolerancePct / 100.0;
     for (const auto &[name, values] : old_samples) {
         auto it = new_samples.find(name);
         if (it == new_samples.end()) {
@@ -387,29 +359,7 @@ diffBenchResults(const JsonValue &old_doc, const JsonValue &new_doc,
             ++report.skipped;
             continue;
         }
-        auto old_ipc_it = old_ipc.find(name);
-        auto new_ipc_it = new_ipc.find(name);
-        if (old_ipc_it != old_ipc.end())
-            delta.oldIpc = median(old_ipc_it->second);
-        if (new_ipc_it != new_ipc.end())
-            delta.newIpc = median(new_ipc_it->second);
-        bool time_regression = delta.oldNs > 0.0 &&
-                               delta.newNs > delta.oldNs * tolerance;
-        if (opts.counterTolerancePct > 0.0) {
-            // IPC gates only when both sides measured; one-sided data
-            // (counters lost or gained between runs) is counted and
-            // reported but never fails the build on its own.
-            bool both = delta.oldIpc > 0.0 && delta.newIpc > 0.0;
-            bool either = delta.oldIpc > 0.0 || delta.newIpc > 0.0;
-            if (both) {
-                ++report.counterCompared;
-                delta.ipcRegression =
-                    delta.oldIpc > delta.newIpc * ipc_tolerance;
-            } else if (either) {
-                ++report.counterOneSided;
-            }
-        }
-        if (time_regression || delta.ipcRegression)
+        if (delta.oldNs > 0.0 && delta.newNs > delta.oldNs * tolerance)
             report.regressions.push_back(delta);
         else if (delta.newNs > 0.0 &&
                  delta.oldNs > delta.newNs * tolerance)
@@ -439,17 +389,10 @@ void
 writeDiffReport(std::ostream &out, const BenchDiffReport &report,
                 const BenchDiffOptions &opts)
 {
-    for (const BenchDelta &d : report.regressions) {
+    for (const BenchDelta &d : report.regressions)
         out << "REGRESSION  " << d.name << "  " << fmtNs(d.oldNs)
             << " -> " << fmtNs(d.newNs) << "  ("
-            << fmtSig((d.ratio() - 1.0) * 100.0, 3) << "% slower)";
-        if (d.ipcRegression)
-            out << "  [IPC " << fmtSig(d.oldIpc, 3) << " -> "
-                << fmtSig(d.newIpc, 3) << ", "
-                << fmtSig((1.0 - d.ipcRatio()) * 100.0, 3)
-                << "% lower]";
-        out << "\n";
-    }
+            << fmtSig((d.ratio() - 1.0) * 100.0, 3) << "% slower)\n";
     for (const BenchDelta &d : report.improvements)
         out << "improvement " << d.name << "  " << fmtNs(d.oldNs)
             << " -> " << fmtNs(d.newNs) << "  ("
@@ -469,12 +412,6 @@ writeDiffReport(std::ostream &out, const BenchDiffReport &report,
         << " below the " << fmtNs(opts.minTimeNs) << " floor, "
         << report.onlyNew.size() << " added, "
         << report.onlyOld.size() << " dropped\n";
-    if (opts.counterTolerancePct > 0.0)
-        out << "bench-diff counters: " << report.counterCompared
-            << " IPC-compared (tolerance "
-            << fmtSig(opts.counterTolerancePct, 3) << "%), "
-            << report.counterOneSided
-            << " with counter data on one side only (not gated)\n";
 }
 
 } // namespace prof

@@ -14,28 +14,21 @@
  *    "smoke": false,
  *    "build": {"version", "compiler", "buildType"},
  *    "host": {"hostName", "numCpus", "mhzPerCpu"},
- *    "counters": {"available", "perfEventParanoid", ["reason"]},
  *    "suites": [{"binary": "bench_kernels",
  *                "benchmarks": [{"name", "realTimeNs", "cpuTimeNs",
- *                                "iterations", "repetition",
- *                                ["instructions", "cycles", "ipc",
- *                                 "llcMissRate"]}, ...]}]}
+ *                                "iterations", "repetition"},
+ *                               ...]}]}
  *
- * v2 is additive over v1: the "counters" stanza records whether the
- * host offered hardware counters (and the perf_event_paranoid level
- * that usually decides it), and benchmarks that measured themselves
- * under a hwc region carry instructions/cycles/IPC columns. Counter
- * fields are only ever written from real measurements — a host
- * without counters produces a v2 file that says so, never zeros.
+ * Files tagged v1 have the same rows. Older v2 files may also carry a
+ * "counters" stanza and per-row instructions/cycles/ipc/llcMissRate
+ * columns; the reader ignores both, so those baselines still diff on
+ * wall time.
  *
  * `hcm bench-diff old new` compares two such files (either schema
  * version) noise-aware: each benchmark's score is the *median* across
  * its repetitions, and only a median slowdown beyond a configurable
  * percentage tolerance (and above an optional absolute-time floor, so
  * sub-microsecond jitter can't gate a build) counts as a regression.
- * With --counter-tolerance-pct, a median IPC drop beyond that
- * percentage gates too — catching "same wall time, worse code"
- * regressions that frequency scaling can mask.
  */
 
 #ifndef HCM_PROF_BENCH_RESULTS_HH
@@ -56,24 +49,11 @@ namespace prof {
 /** Schema tag stamped into every results file this build writes. */
 inline constexpr const char *kBenchSchema = "hcm-bench-results/v2";
 
-/** Prior schema, still accepted by bench-diff (pre-counter files). */
+/** Prior schema, still accepted by bench-diff. */
 inline constexpr const char *kBenchSchemaV1 = "hcm-bench-results/v1";
 
 /** Manifest file the bench build writes next to its binaries. */
 inline constexpr const char *kBenchManifest = "gbench_manifest.txt";
-
-/**
- * Counter availability recorded in the results metadata. A plain
- * struct (not hwc::Availability) so prof stays below hwc in the
- * dependency order; the CLI fills it from the hwc probe.
- */
-struct BenchCounterMeta
-{
-    bool available = false;
-    std::string reason; ///< empty when available
-    /** kernel.perf_event_paranoid; -1 when unknown. */
-    int perfEventParanoid = -1;
-};
 
 /** Knobs for one `hcm bench` run. */
 struct BenchRunOptions
@@ -86,8 +66,6 @@ struct BenchRunOptions
     bool smoke = false;
     /** Repetitions per benchmark; 0 picks smoke ? 1 : 3. */
     int repetitions = 0;
-    /** What the host offered, stamped into the results metadata. */
-    BenchCounterMeta counters;
 };
 
 /** Knobs for one `hcm bench-diff` comparison. */
@@ -97,12 +75,6 @@ struct BenchDiffOptions
     double tolerancePct = 10.0;
     /** Ignore benchmarks whose medians are both below this (ns). */
     double minTimeNs = 0.0;
-    /**
-     * Median IPC drop beyond this percentage is a regression
-     * (0 = counter gating off). Only benchmarks with IPC samples in
-     * BOTH files gate; one-sided counter data is noted, never gated.
-     */
-    double counterTolerancePct = 0.0;
 };
 
 /** One benchmark's before/after medians. */
@@ -111,24 +83,12 @@ struct BenchDelta
     std::string name; ///< "binary:benchmark/args"
     double oldNs = 0.0;
     double newNs = 0.0;
-    /** Median IPC per side; 0 when that side has no counter data. */
-    double oldIpc = 0.0;
-    double newIpc = 0.0;
-    /** True when the IPC drop alone tripped the counter gate. */
-    bool ipcRegression = false;
 
     /** new/old (0 when old is 0). */
     double
     ratio() const
     {
         return oldNs > 0.0 ? newNs / oldNs : 0.0;
-    }
-
-    /** newIpc/oldIpc (0 when either side lacks counter data). */
-    double
-    ipcRatio() const
-    {
-        return oldIpc > 0.0 && newIpc > 0.0 ? newIpc / oldIpc : 0.0;
     }
 };
 
@@ -141,10 +101,6 @@ struct BenchDiffReport
     std::vector<std::string> onlyOld;     ///< dropped benchmarks
     std::vector<std::string> onlyNew;     ///< added benchmarks
     std::size_t skipped = 0;              ///< below the time floor
-    /** Benchmarks with IPC samples on only one side (not gated). */
-    std::size_t counterOneSided = 0;
-    /** Benchmarks whose IPC was compared under the counter gate. */
-    std::size_t counterCompared = 0;
 
     bool
     hasRegressions() const
@@ -169,15 +125,11 @@ std::optional<std::vector<std::string>> readBenchManifest(
  * each entry's time_unit. Pure function of its inputs (tests feed it
  * synthetic documents). @p failures names binaries that could not be
  * run, recorded in the document so a partial sweep is visible.
- * @p counters is stamped into the "counters" stanza; per-benchmark
- * counter columns (instructions/cycles/ipc/llcMissRate) are copied
- * from gbench user counters when a suite reported them.
  */
 void writeBenchResults(
     std::ostream &out,
     const std::vector<std::pair<std::string, JsonValue>> &suites,
-    bool smoke, const std::vector<std::string> &failures = {},
-    const BenchCounterMeta &counters = {});
+    bool smoke, const std::vector<std::string> &failures = {});
 
 /**
  * Run the manifest's binaries per @p opts and write the merged

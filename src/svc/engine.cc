@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "hwc/counter_region.hh"
 #include "obs/trace.hh"
 #include "prof/profiler.hh"
 #include "svc/backpressure.hh"
@@ -257,7 +256,6 @@ QueryEngine::acquire(const Query &q, const std::string &key)
                 eval_scope.arg("type", queryTypeName(q.type));
                 if (!q.requestId.empty())
                     eval_scope.arg("rid", q.requestId);
-                hwc::CounterRegion eval_counters(&eval_scope.span());
                 try {
                     FaultInjector::instance().maybeInject("eval");
                     result =
@@ -266,7 +264,6 @@ QueryEngine::acquire(const Query &q, const std::string &key)
                     eval_scope.arg("outcome", "error");
                     throw;
                 }
-                eval_counters.end();
                 eval_scope.end();
                 if (_cache)
                     _cache->put(key, result);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "core/scenario.hh"
+#include "devices/measured.hh"
 #include "itrs/scaling.hh"
 #include "obs/request_id.hh"
 #include "util/format.hh"
@@ -23,6 +24,30 @@ nodeExists(double node_nm)
     for (const itrs::NodeParams &node : itrs::nodeTable())
         if (node.nodeNm == node_nm)
             return true;
+    return false;
+}
+
+/**
+ * True when the paper measured @p w on the Core i7 baseline, which
+ * every organization calibrates against; otherwise names the measured
+ * FFT sizes in @p error. The database is the one list of sizes.
+ */
+bool
+measuredWorkload(const wl::Workload &w, std::string *error)
+{
+    const dev::MeasurementDb &db = dev::MeasurementDb::instance();
+    if (db.find(dev::DeviceId::CoreI7, w))
+        return true;
+    if (error) {
+        std::string sizes;
+        for (const dev::Measurement &m : db.all())
+            if (m.device == dev::DeviceId::CoreI7 &&
+                m.workload.kind() == wl::Kind::FFT)
+                sizes += (sizes.empty() ? "" : ", ") +
+                         std::to_string(m.workload.size());
+        *error = "no measurement for " + w.name() +
+                 " (measured fft sizes: " + sizes + ")";
+    }
     return false;
 }
 
@@ -48,8 +73,12 @@ parseWorkloadSpec(const std::string &spec, std::string *error)
         unsigned long n =
             all_digits ? std::strtoul(digits.c_str(), &end, 10) : 0;
         if (all_digits && end == digits.c_str() + digits.size() &&
-            n >= 2 && (n & (n - 1)) == 0)
-            return wl::Workload::fft(n);
+            n >= 2 && (n & (n - 1)) == 0) {
+            wl::Workload w = wl::Workload::fft(n);
+            if (!measuredWorkload(w, error))
+                return std::nullopt;
+            return w;
+        }
         if (error)
             *error = "fft size must be a power of two >= 2, got '" +
                      digits + "'";
@@ -113,7 +142,9 @@ parseQueryRequest(const JsonValue &v)
     if (const JsonValue *f = v.find("f")) {
         if (!f->isNumber())
             return RequestParse::failure("'f' must be a number");
-        q.f = f->asNumber();
+        // "+ 0.0" maps -0.0 to +0.0, so both spellings echo and key
+        // identically.
+        q.f = f->asNumber() + 0.0;
         if (!(q.f >= 0.0 && q.f <= 1.0))
             return RequestParse::failure(
                 "'f' must lie in [0, 1], got " +

@@ -81,7 +81,12 @@ std::optional<std::vector<std::string>> splitBatchRequestTexts(
 std::optional<std::string> injectRequestId(const std::string &text,
                                            const std::string &rid);
 
-/** Workload spec parser shared with the CLI ("mmm", "bs", "fft:N"). */
+/**
+ * The one workload-token parser ("mmm", "bs", "fft:N"), shared by
+ * requests, sweep specs and CLI flags. N must be a power of two that
+ * dev::MeasurementDb has a Core i7 entry for; nullopt (with
+ * @p error) otherwise.
+ */
 std::optional<wl::Workload> parseWorkloadSpec(const std::string &spec,
                                               std::string *error);
 

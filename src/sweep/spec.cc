@@ -3,46 +3,13 @@
 #include <stdexcept>
 
 #include "core/paper.hh"
+#include "svc/request.hh"
 #include "util/format.hh"
 
 namespace hcm {
 namespace sweep {
 
 namespace {
-
-/** Workload from a CLI token; nullopt on an unknown spelling. */
-std::optional<wl::Workload>
-workloadFromToken(const std::string &token)
-{
-    if (iequals(token, "mmm"))
-        return wl::Workload::mmm();
-    if (iequals(token, "bs") || iequals(token, "blackscholes"))
-        return wl::Workload::blackScholes();
-    if (iequals(token, "fft"))
-        return wl::Workload::fft(1024);
-    if (token.size() > 4 && iequals(token.substr(0, 4), "fft:")) {
-        // Strict digits-only size: stoul alone accepts leading
-        // whitespace, '+', '-' (wrapping), and trailing junk
-        // ("fft:1024abc" silently became fft:1024).
-        const std::string digits = token.substr(4);
-        for (char c : digits)
-            if (c < '0' || c > '9')
-                return std::nullopt;
-        std::size_t n = 0;
-        try {
-            std::size_t used = 0;
-            n = std::stoul(digits, &used);
-            if (used != digits.size())
-                return std::nullopt;
-        } catch (const std::exception &) {
-            return std::nullopt; // out of range
-        }
-        if (n < 2 || (n & (n - 1)) != 0)
-            return std::nullopt; // FFT sizes are powers of two
-        return wl::Workload::fft(n);
-    }
-    return std::nullopt;
-}
 
 /** Scenario by name without panicking on unknown input. Matching is
  *  case-insensitive via the one shared registry lookup, exactly like
@@ -88,11 +55,10 @@ parseWorkloadList(const std::string &spec, std::string *error)
 {
     std::vector<wl::Workload> out;
     for (const std::string &t : tokens(spec)) {
-        auto w = workloadFromToken(t);
+        std::string why;
+        auto w = svc::parseWorkloadSpec(t, &why);
         if (!w) {
-            setError(error, "unknown workload '" + t +
-                                "' (expected mmm, bs, or fft:N with N a "
-                                "power of two)");
+            setError(error, why);
             return std::nullopt;
         }
         out.push_back(*w);

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "core/optimizer_batch.hh"
-#include "hwc/counter_region.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "svc/thread_pool.hh"
@@ -69,7 +68,6 @@ evaluateUnit(const Unit &unit, SweepRow &row)
     span.arg("f", row.f);
     span.arg("scenario", row.scenario);
     span.arg("organization", row.organization);
-    hwc::CounterRegion counters(&span);
 
     const std::vector<itrs::NodeParams> &nodes = itrs::nodeTable();
     row.cells.clear(); // capacity was reserved by runSweep

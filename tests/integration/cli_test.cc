@@ -1,6 +1,7 @@
 /** @file End-to-end tests of the `hcm` CLI binary (path injected by
  *  CMake as HCM_CLI_PATH; the built bench directory as HCM_BENCH_DIR). */
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -213,6 +214,47 @@ TEST(CliTest, MixedFabricChip)
     EXPECT_NE(out.find("ASIC:MMM"), std::string::npos);
     EXPECT_NE(out.find("GTX285:FFT-1024"), std::string::npos);
     EXPECT_NE(out.find("11nm"), std::string::npos);
+}
+
+TEST(CliTest, MixedInfeasibleNodeKeepsRowWidth)
+{
+    // Regression: an infeasible node's row had 4 cells under a 4 +
+    // slots header and tripped the table's width assert.
+    auto [code, out] =
+        runCli("mixed --slot asic:mmm:0.5 --slot gtx285:fft:1024:0.45 "
+               "--scenario power-10w");
+    EXPECT_EQ(code, 0) << out;
+    EXPECT_EQ(out.find("panic"), std::string::npos) << out;
+    // The infeasible row has one cell per header: "-" for each slot.
+    auto line_with = [&out = out](const std::string &needle) {
+        std::size_t at = out.find(needle);
+        if (at == std::string::npos)
+            return std::string();
+        std::size_t begin = out.rfind('\n', at) + 1;
+        return out.substr(begin, out.find('\n', at) - begin);
+    };
+    std::string header = line_with("GTX285:FFT-1024");
+    std::string infeasible = line_with("infeasible");
+    ASSERT_FALSE(infeasible.empty()) << out;
+    EXPECT_EQ(std::count(infeasible.begin(), infeasible.end(), '|'),
+              std::count(header.begin(), header.end(), '|'))
+        << out;
+}
+
+TEST(CliTest, WorkloadTokensCheckTheMeasurementDb)
+{
+    auto [sweep_code, sweep_out] =
+        runCli("sweep --workloads fft:2048");
+    EXPECT_EQ(sweep_code, 1) << sweep_out;
+    EXPECT_NE(sweep_out.find("no measurement for FFT-2048"),
+              std::string::npos)
+        << sweep_out;
+    auto [junk_code, junk_out] =
+        runCli("optimize --workload fft:1024abc");
+    EXPECT_EQ(junk_code, 1) << junk_out;
+    EXPECT_NE(junk_out.find("power of two"), std::string::npos)
+        << junk_out;
+    EXPECT_EQ(runCli("project --workload fft:128").first, 1);
 }
 
 TEST(CliTest, MixedRequiresSlots)
@@ -483,11 +525,9 @@ TEST(CliTest, BenchSmokeProducesSchemaValidResults)
     EXPECT_NE(text.find("\"schema\":\"hcm-bench-results/v2\""),
               std::string::npos)
         << text;
-    // v2 always records what the host offered, available or not.
-    EXPECT_NE(text.find("\"counters\":{\"available\":"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("\"perfEventParanoid\":"), std::string::npos);
+    // Wall time only: no hardware-counter stanza or columns.
+    EXPECT_EQ(text.find("\"counters\""), std::string::npos) << text;
+    EXPECT_EQ(text.find("perfEventParanoid"), std::string::npos);
     EXPECT_NE(text.find("\"smoke\":true"), std::string::npos);
     EXPECT_NE(text.find("\"binary\":\"bench_obs\""), std::string::npos);
     EXPECT_NE(text.find("\"realTimeNs\":"), std::string::npos);

@@ -1,6 +1,7 @@
 #include "net/server.hh"
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +127,42 @@ TEST(TcpServerTest, StopWithOpenConnectionDoesNotHang)
     Socket idle = connectTo("127.0.0.1", server.port(), 2000, &error);
     ASSERT_TRUE(idle.valid()) << error;
     server.stop(); // must shut the idle connection down, not wait on it
+}
+
+TEST(TcpServerTest, StopWithLiveConnectionsClosesEveryClient)
+{
+    // Clients that have been served and still hold their connections,
+    // half of which hang up just as the server stops, so connection
+    // threads close their sockets while stop() shuts the rest down.
+    TcpServerOptions opts;
+    TcpServer server(opts, [](const std::string &request) {
+        return request;
+    });
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    std::vector<Socket> clients;
+    for (int i = 0; i < 6; ++i) {
+        clients.push_back(
+            connectTo("127.0.0.1", server.port(), 2000, &error));
+        ASSERT_TRUE(clients.back().valid()) << error;
+        ASSERT_TRUE(clients.back().setIoTimeoutMs(2000, &error))
+            << error;
+        std::string frame = encodeFrame("ping");
+        ASSERT_TRUE(clients.back().sendAll(frame.data(), frame.size(),
+                                           &error))
+            << error;
+        char buf[64];
+        ASSERT_GT(clients.back().recvSome(buf, sizeof(buf), &error), 0)
+            << error;
+    }
+    for (std::size_t i = 0; i < clients.size(); i += 2)
+        clients[i].close();
+    server.stop();
+    for (std::size_t i = 1; i < clients.size(); i += 2) {
+        char buf[64];
+        EXPECT_EQ(clients[i].recvSome(buf, sizeof(buf), &error), 0)
+            << "client " << i << ": " << error;
+    }
 }
 
 TEST(TcpServerTest, StopIsIdempotent)

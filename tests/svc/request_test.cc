@@ -119,8 +119,16 @@ TEST(RequestParseTest, WorkloadSpecsMatchCliVocabulary)
               wl::Workload::blackScholes());
     EXPECT_EQ(parseWorkloadSpec("fft", &error),
               wl::Workload::fft(1024));
-    EXPECT_EQ(parseWorkloadSpec("fft:4096", &error),
-              wl::Workload::fft(4096));
+    EXPECT_EQ(parseWorkloadSpec("fft:16384", &error),
+              wl::Workload::fft(16384));
+    // Powers of two the measurement DB lacks are refused up front; the
+    // message lists the sizes it has.
+    EXPECT_FALSE(parseWorkloadSpec("fft:4096", &error));
+    EXPECT_NE(error.find("no measurement for FFT-4096"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("64, 1024, 16384"), std::string::npos) << error;
+    EXPECT_FALSE(parseWorkloadSpec("fft:128", &error));
     EXPECT_FALSE(parseWorkloadSpec("fft:0", &error));
     EXPECT_FALSE(parseWorkloadSpec("fft:", &error));
     EXPECT_FALSE(parseWorkloadSpec("fft:12", &error));

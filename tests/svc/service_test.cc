@@ -10,6 +10,7 @@
 
 #include "svc/engine.hh"
 #include "svc/fault.hh"
+#include "svc/router.hh"
 #include "svc/service.hh"
 #include "util/format.hh"
 
@@ -141,6 +142,41 @@ TEST(ServeCountTest, ErrorLinesDoNotCount)
               std::string::npos);
     EXPECT_NE(lines[2].find("\"rows\":"), std::string::npos);
     EXPECT_EQ(served, 1u);
+}
+
+// Regression: fft:128 is a power of two the paper never measured; it
+// used to pass the parser and panic the process in MeasurementDb::get.
+TEST(ServeRobustnessTest, UnmeasuredFftSizeAnswersErrorAndServesOn)
+{
+    std::vector<std::string> lines;
+    std::size_t served = serveLines(
+        "{\"type\":\"optimize\",\"workload\":\"fft:128\",\"f\":0.9}\n"
+        "{\"type\":\"optimize\",\"workload\":\"fft:64\",\"f\":0.9}\n",
+        &lines);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[0].rfind("{\"error\":", 0), 0u) << lines[0];
+    EXPECT_NE(lines[0].find("no measurement for FFT-128"),
+              std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[1].find("\"rows\":"), std::string::npos) << lines[1];
+    EXPECT_EQ(served, 1u);
+}
+
+// "f": -0.0 canonicalizes to +0.0 at parse: one cache entry, and the
+// echoed fraction reads 0 either way.
+TEST(ServeRequestTest, NegativeZeroFractionSharesOneCacheEntry)
+{
+    QueryEngine engine(smallEngine());
+    RequestRouter router(engine);
+    RouteReply negative = router.route(
+        R"({"type":"optimize","workload":"mmm","f":-0.0})");
+    RouteReply positive =
+        router.route(R"({"type":"optimize","workload":"mmm","f":0})");
+    EXPECT_EQ(negative.body, positive.body);
+    EXPECT_NE(negative.body.find("\"f\":0,"), std::string::npos)
+        << negative.body;
+    EXPECT_EQ(engine.cacheStats().entries, 1u);
+    EXPECT_EQ(engine.cacheStats().hits, 1u);
 }
 
 } // namespace

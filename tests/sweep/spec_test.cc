@@ -13,12 +13,23 @@ namespace {
 TEST(SweepSpecTest, ParsesWorkloadList)
 {
     std::string error;
-    auto list = parseWorkloadList("mmm,bs,fft:256", &error);
+    auto list = parseWorkloadList("mmm,bs,fft:16384", &error);
     ASSERT_TRUE(list.has_value()) << error;
     ASSERT_EQ(list->size(), 3u);
     EXPECT_EQ((*list)[0].name(), wl::Workload::mmm().name());
     EXPECT_EQ((*list)[1].name(), wl::Workload::blackScholes().name());
-    EXPECT_EQ((*list)[2].name(), wl::Workload::fft(256).name());
+    EXPECT_EQ((*list)[2].name(), wl::Workload::fft(16384).name());
+}
+
+TEST(SweepSpecTest, RejectsUnmeasuredFftSize)
+{
+    // A power of two with no measurement used to pass here and panic
+    // later inside the sweep.
+    std::string error;
+    EXPECT_FALSE(parseWorkloadList("mmm,fft:2048", &error));
+    EXPECT_NE(error.find("no measurement for FFT-2048"),
+              std::string::npos)
+        << error;
 }
 
 TEST(SweepSpecTest, RejectsUnknownWorkload)

@@ -10,7 +10,6 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,7 +24,6 @@
 #include "devices/roofline.hh"
 #include "core/pareto.hh"
 #include "core/projection.hh"
-#include "hwc/counter_region.hh"
 #include "hwc/self_roofline.hh"
 #include "mem/traffic.hh"
 #include "obs/build_info.hh"
@@ -44,6 +42,7 @@
 #include "svc/engine.hh"
 #include "svc/fault.hh"
 #include "svc/flight_recorder.hh"
+#include "svc/request.hh"
 #include "svc/router.hh"
 #include "svc/service.hh"
 #include "sweep/export.hh"
@@ -77,10 +76,10 @@ commands:
                           (repeat --slot device:workload:fraction)
   crossover               minimum f where a HET beats the best CMP
   roofline                device roofline + workload placement;
-                          --measured probes THIS host's ceilings with
-                          calibrated microkernels and places the
-                          model's hot loops on them via hardware
-                          counters (ascii chart; --json for the
+                          --measured probes THIS host's stream and
+                          multiply-add ceilings with calibrated
+                          microkernels and times the model's hot
+                          loops by wall clock (--json for the
                           machine-readable report, --output <file>
                           to also write it; --smoke shrinks the
                           probes for CI)
@@ -244,10 +243,6 @@ options (bench/bench-diff):
                               is a regression (default 10)
   --min-time-ns <ns>          bench-diff: ignore benchmarks faster than
                               this in both files (default 0)
-  --counter-tolerance-pct <p> bench-diff: median IPC drop beyond this
-                              percentage is a regression; gates only
-                              benchmarks with counter data in both
-                              files (default 0 = off)
 
 observability (batch/serve/simulate):
   --trace-out <file>          enable span tracing and write a Chrome
@@ -259,12 +254,6 @@ observability (batch/serve/simulate):
                               input) | json (default collapsed)
   --metrics-out <file>        write collected metrics on exit
   --metrics-format <fmt>      json | prom (default json)
-  --counters                  collect hardware counters (perf events)
-                              at the instrumented regions: spans grow
-                              instructions/cycles/IPC args, profile
-                              JSON grows IPC and LLC-miss-rate
-                              columns; degrades to a single warning
-                              when the host offers no counters
   --verbose                   lower the log threshold one step per
                               occurrence (-> Info -> Debug;
                               HCM_LOG_LEVEL wins when set; serve
@@ -313,9 +302,7 @@ struct Options
     std::string results = "BENCH_RESULTS.json";
     double tolerancePct = 10.0;
     double minTimeNs = 0.0;
-    double counterTolerancePct = 0.0;
     bool measured = false;
-    bool counters = false;
     bool csv = false;
     sweep::SpecStrings sweepSpec;
     std::size_t jobs = 0;
@@ -344,36 +331,20 @@ struct Options
 wl::Workload
 parseWorkload(const std::string &spec)
 {
-    if (iequals(spec, "mmm"))
-        return wl::Workload::mmm();
-    if (iequals(spec, "bs") || iequals(spec, "blackscholes"))
-        return wl::Workload::blackScholes();
-    if (spec.rfind("fft:", 0) == 0 || spec.rfind("FFT:", 0) == 0)
-        return wl::Workload::fft(std::stoul(spec.substr(4)));
-    if (iequals(spec, "fft"))
-        return wl::Workload::fft(1024);
-    hcm_fatal("unknown workload '", spec,
-              "' (expected mmm, bs, or fft:N)");
+    std::string error;
+    auto w = svc::parseWorkloadSpec(spec, &error);
+    if (!w)
+        hcm_fatal(error);
+    return *w;
 }
 
 dev::DeviceId
 parseDevice(const std::string &name)
 {
-    static const std::map<std::string, dev::DeviceId> devices = {
-        {"gtx285", dev::DeviceId::Gtx285},
-        {"gtx480", dev::DeviceId::Gtx480},
-        {"r5870", dev::DeviceId::R5870},
-        {"lx760", dev::DeviceId::Lx760},
-        {"asic", dev::DeviceId::Asic},
-    };
-    std::string lower;
-    for (char c : name)
-        lower += static_cast<char>(std::tolower(
-            static_cast<unsigned char>(c)));
-    auto it = devices.find(lower);
-    if (it == devices.end())
+    auto id = svc::parseDeviceName(name);
+    if (!id)
         hcm_fatal("unknown device '", name, "'");
-    return it->second;
+    return *id;
 }
 
 Options
@@ -469,12 +440,8 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
             opts.tolerancePct = std::stod(next());
         else if (a == "--min-time-ns")
             opts.minTimeNs = std::stod(next());
-        else if (a == "--counter-tolerance-pct")
-            opts.counterTolerancePct = std::stod(next());
         else if (a == "--measured")
             opts.measured = true;
-        else if (a == "--counters")
-            opts.counters = true;
         else if (a == "--results-only")
             opts.resultsOnly = true;
         else if (a == "--port")
@@ -539,8 +506,6 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         hcm_fatal("--scrape-interval-ms must be >= 0");
     if (opts.intervalMs <= 0.0)
         hcm_fatal("--interval-ms must be > 0");
-    if (opts.counterTolerancePct < 0.0)
-        hcm_fatal("--counter-tolerance-pct must be >= 0");
     return opts;
 }
 
@@ -634,38 +599,6 @@ class ProfileSession
   private:
     std::string _path;
     std::string _format;
-};
-
-/**
- * RAII counter session: --counters enables hardware-counter
- * collection at the instrumented regions for the command's lifetime.
- * Probing up front surfaces the one unavailability warning before any
- * work runs, so an operator sees immediately that the flag will
- * degrade to wall time on this host.
- */
-class CounterSession
-{
-  public:
-    explicit CounterSession(const Options &opts) : _on(opts.counters)
-    {
-        if (!_on)
-            return;
-        hwc::Collector::instance().setEnabled(true);
-        hwc::Availability avail = hwc::Collector::instance().probe();
-        if (avail.available)
-            hcm_inform("hardware counters enabled",
-                       logField("perf_event_paranoid",
-                                avail.perfEventParanoid));
-    }
-
-    ~CounterSession()
-    {
-        if (_on)
-            hwc::Collector::instance().setEnabled(false);
-    }
-
-  private:
-    bool _on;
 };
 
 /**
@@ -816,7 +749,6 @@ cmdSweep(const Options &opts)
     applyLogOptions(opts, false);
     TraceSession trace(opts);
     ProfileSession profile(opts);
-    CounterSession counters(opts);
     std::string error;
     auto spec = sweep::parseSweepSpec(opts.sweepSpec, &error);
     if (!spec)
@@ -1100,7 +1032,10 @@ cmdMixed(const Options &opts)
         core::MixedDesign d =
             core::optimizeMixed(slots, mode, node, scenario);
         if (!d.feasible) {
-            t.addRow({node.label(), "-", "infeasible", "-"});
+            std::vector<std::string> row = {node.label(), "-",
+                                            "infeasible", "-"};
+            row.resize(headers.size(), "-"); // one "-" per slot
+            t.addRow(row);
             continue;
         }
         std::vector<std::string> row = {
@@ -1238,7 +1173,6 @@ cmdBatch(const std::string &path, const Options &opts)
     applyFaultSpec(opts);
     TraceSession trace(opts);
     ProfileSession profile(opts);
-    CounterSession counters(opts);
     svc::QueryEngine engine(engineOptions(opts));
     std::string error;
     if (!svc::runBatch(buffer.str(), engine, std::cout, &error,
@@ -1276,7 +1210,6 @@ cmdServe(const Options &opts)
     svc::FlightRecorder::instance().configure(opts.flightRecorderSize);
     TraceSession trace(opts);
     ProfileSession profile(opts);
-    CounterSession counters(opts);
 
     if (opts.port < 0) {
         // The historical stdin/stdout loop.
@@ -1508,12 +1441,6 @@ cmdBench(const Options &opts)
     bopts.only = opts.only;
     bopts.smoke = opts.smoke;
     bopts.repetitions = opts.repetitions;
-    // Stamp counter availability into the results metadata so a diff
-    // reader can tell "no counter columns" from "host had none".
-    hwc::Availability avail = hwc::Collector::instance().probe();
-    bopts.counters.available = avail.available;
-    bopts.counters.reason = avail.reason;
-    bopts.counters.perfEventParanoid = avail.perfEventParanoid;
     std::ostringstream merged;
     std::string error;
     if (!prof::runBenchPipeline(bopts, merged, &error))
@@ -1553,7 +1480,6 @@ cmdBenchDiff(const std::string &old_path, const std::string &new_path,
     prof::BenchDiffOptions dopts;
     dopts.tolerancePct = opts.tolerancePct;
     dopts.minTimeNs = opts.minTimeNs;
-    dopts.counterTolerancePct = opts.counterTolerancePct;
     std::string error;
     auto report =
         prof::diffBenchResults(old_doc, new_doc, dopts, &error);
