@@ -179,13 +179,13 @@ runLoadGen(const std::vector<std::string> &requests,
             std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= total)
                 return;
+            Clock::time_point due = start;
             if (opts.rate > 0.0) {
                 // Open-loop pacing: request i is due at start + i/rate
                 // regardless of how long earlier requests took.
-                auto due = start + std::chrono::duration_cast<
-                                       Clock::duration>(
-                               std::chrono::duration<double>(
-                                   static_cast<double>(i) / opts.rate));
+                due += std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(static_cast<double>(i) /
+                                                  opts.rate));
                 std::this_thread::sleep_until(due);
             }
             std::string payload = requests[i % requests.size()];
@@ -202,7 +202,11 @@ runLoadGen(const std::vector<std::string> &requests,
                     rids[i] = tag.fixed;
                 }
             }
-            Clock::time_point before = Clock::now();
+            // Open loop: latency counts from the due time, so a request
+            // that leaves late because every connection was busy counts
+            // its wait. Closed loop: from the send.
+            Clock::time_point before =
+                opts.rate > 0.0 ? due : Clock::now();
             std::string response;
             std::string io_error;
             bool ok;

@@ -5,10 +5,19 @@
  * across thread counts and against the serial `hcm project --csv`
  * reference) and a structured JSON document for notebooks.
  *
- * Both drivers append records into one reused buffer that goes to the
- * stream in 64 KiB chunks, with every number printed by appendDouble()
- * (util/format.hh). Each call is one obs span, "sweep.export", with
- * format and bytes args.
+ * Both drivers print the rows in blocks of 64 through one block
+ * formatter per format, with every number printed by appendDouble()
+ * (util/format.hh) and each distinct budget formatted once per
+ * formatting thread. The calling thread writes the blocks in row
+ * order and formats whichever block comes next when the one to write
+ * is not ready; when result.jobs > 1 and there is more than one block,
+ * up to result.jobs - 1 more threads format blocks alongside it. At
+ * most 2 * jobs blocks are buffered, so memory does not grow with the
+ * row count, and the bytes do not depend on the thread count. A
+ * formatting thread's exception is rethrown on the calling thread
+ * after every thread is joined. Each call is one obs span on the
+ * calling thread, "sweep.export", with format, jobs (formatting
+ * threads, the caller included), blocks and bytes args.
  */
 
 #ifndef HCM_SWEEP_EXPORT_HH

@@ -257,6 +257,31 @@ TEST(CliTest, WorkloadTokensCheckTheMeasurementDb)
     EXPECT_EQ(runCli("project --workload fft:128").first, 1);
 }
 
+TEST(CliTest, NumericArgumentsRejectGarbageWithAUsageError)
+{
+    // Each must end in `fatal:` naming where the bad number came from,
+    // with exit 1, never an uncaught exception (exit 134).
+    const std::pair<const char *, const char *> cases[] = {
+        {"optimize --f abc", "--f"},
+        {"optimize --f 0.5x", "--f"},
+        {"project --node 1e999", "--node"},
+        {"sweep --jobs -1", "--jobs"},
+        {"sweep --jobs 2x", "--jobs"},
+        {"serve --port abc", "--port"},
+        {"mixed --slot asic:mmm:half", "--slot fraction"},
+        {"table five", "table"},
+        {"figure 6.5", "figure"},
+    };
+    for (const auto &[args, what] : cases) {
+        auto [code, out] = runCli(args);
+        EXPECT_EQ(code, 1) << args << "\n" << out;
+        EXPECT_NE(out.find("fatal:"), std::string::npos) << args << out;
+        EXPECT_NE(out.find(std::string(what) + " needs a"),
+                  std::string::npos)
+            << args << "\n" << out;
+    }
+}
+
 TEST(CliTest, MixedRequiresSlots)
 {
     auto [code, out] = runCli("mixed");

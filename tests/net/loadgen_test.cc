@@ -1,9 +1,11 @@
 #include "net/loadgen.hh"
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +122,33 @@ TEST(LoadGenTest, DeadEndpointCountsTransportFailures)
     EXPECT_EQ(report.transportFailures, 1u);
     EXPECT_EQ(report.errors, 1u);
     EXPECT_EQ(report.ok, 0u);
+}
+
+TEST(LoadGenTest, OpenLoopLatencyCountsTheWaitForAConnection)
+{
+    // One connection to a shard that takes 40 ms per request, five
+    // requests due 1 ms apart: request k leaves about k * 40 ms late,
+    // and its latency must include that wait, not only the round trip.
+    static constexpr int kServiceMs = 40;
+    TcpServer server(TcpServerOptions{}, [](const std::string &) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(kServiceMs));
+        return std::string(R"({"rows":[]})");
+    });
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    LoadGenOptions opts;
+    opts.port = server.port();
+    opts.concurrency = 1;
+    opts.rate = 1000.0;
+    std::vector<std::string> requests(5, R"({"type":"optimize"})");
+    LoadGenReport report;
+    ASSERT_TRUE(runLoadGen(requests, opts, &report, &error)) << error;
+    server.stop();
+
+    EXPECT_EQ(report.ok, 5u);
+    // Round trips alone would put every sample near 40 ms.
+    EXPECT_GE(report.p50Ms, 2 * kServiceMs * 0.95);
+    EXPECT_GE(report.maxMs, 4 * kServiceMs * 0.95);
 }
 
 TEST(LoadGenTest, ReportFormatsAsJson)

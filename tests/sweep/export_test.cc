@@ -254,7 +254,8 @@ TEST(SweepExportTest, JsonParsesAndEchoesShape)
               result.units);
 }
 
-TEST(SweepExportTest, DenseSweepMatchesReferenceDrivers)
+SweepResult
+denseResult()
 {
     SpecStrings strings;
     strings.workloads = "mmm,bs,fft:64,fft:1024,fft:16384";
@@ -262,11 +263,39 @@ TEST(SweepExportTest, DenseSweepMatchesReferenceDrivers)
     strings.scenarios = "all";
     std::string error;
     std::optional<SweepSpec> spec = parseSweepSpec(strings, &error);
-    ASSERT_TRUE(spec) << error;
-    SweepResult result = runSweep(*spec, {});
-    // Several 64 KiB chunks, so the sink's flushes are exercised.
-    ASSERT_GT(render(writeSweepCsv, result).size(), 4u * 64 * 1024);
+    EXPECT_TRUE(spec) << error;
+    return spec ? runSweep(*spec, {}) : SweepResult{};
+}
+
+TEST(SweepExportTest, DenseSweepMatchesReferenceDrivers)
+{
+    SweepResult result = denseResult();
+    // More than 2 * 8 blocks of 64 rows, so even eight formatting
+    // threads wrap around the block ring.
+    ASSERT_GT(result.rows.size(), 2u * 8 * 64);
     expectOracleBytes(result);
+}
+
+TEST(SweepExportTest, EveryJobCountMatchesReferenceDrivers)
+{
+    // The block export must print the oracle's bytes whatever the
+    // thread count, including odd counts and row counts at and around
+    // one block, so a 1-CPU host runs the parallel path too.
+    SweepResult dense = denseResult();
+    ASSERT_GT(dense.rows.size(), 2u * 8 * 64);
+    for (std::size_t rows :
+         {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+          std::size_t{65}, dense.rows.size()}) {
+        SweepResult result;
+        result.rows.assign(dense.rows.begin(), dense.rows.begin() + rows);
+        result.units = rows;
+        for (std::size_t jobs : {1, 2, 3, 8}) {
+            SCOPED_TRACE("rows " + std::to_string(rows) + ", jobs " +
+                         std::to_string(jobs));
+            result.jobs = jobs;
+            expectOracleBytes(result);
+        }
+    }
 }
 
 TEST(SweepExportTest, EdgeValuesAndStringsMatchReferenceDrivers)
@@ -325,6 +354,43 @@ TEST(SweepExportTest, EdgeValuesAndStringsMatchReferenceDrivers)
 
     SweepResult empty;
     expectOracleBytes(empty);
+
+    result.jobs = 3;
+    expectOracleBytes(result);
+    // Repeated past one block, so the edge rows also go through the
+    // formatting threads, which memoize labels and budgets per thread.
+    SweepResult repeated;
+    for (int i = 0; i < 50; ++i)
+        repeated.rows.insert(repeated.rows.end(), result.rows.begin(),
+                             result.rows.end());
+    repeated.units = repeated.rows.size();
+    repeated.jobs = 3;
+    expectOracleBytes(repeated);
+}
+
+TEST(SweepExportTest, FailingStreamStopsTheFormattingThreads)
+{
+    // A stream that fails after its first write and throws on failure:
+    // the export must rethrow on the calling thread with every
+    // formatting thread joined, however far ahead they have run.
+    struct FailingBuf : std::streambuf
+    {
+        int writes = 0;
+        std::streamsize
+        xsputn(const char *, std::streamsize n) override
+        {
+            return ++writes == 1 ? n : 0;
+        }
+    };
+    SweepResult result = denseResult();
+    result.jobs = 3;
+    for (Writer write : {writeSweepCsv, writeSweepJson}) {
+        FailingBuf buf;
+        std::ostream out(&buf);
+        out.exceptions(std::ios::badbit);
+        EXPECT_THROW(write(out, result), std::ios::failure);
+        EXPECT_EQ(buf.writes, 2);
+    }
 }
 
 TEST(SweepExportTest, CsvPrintsNonFiniteBudgetsAndJsonNull)
@@ -349,12 +415,23 @@ TEST(SweepExportTest, CsvPrintsNonFiniteBudgetsAndJsonNull)
 
 TEST(SweepExportTest, EachExportIsOneSpanWithFormatAndBytes)
 {
-    SweepResult result = tinyResult();
+    SweepResult tiny = tinyResult();
+    tiny.jobs = 4;
+    // 65 rows: two blocks, so two formatting threads, the caller
+    // included.
+    SweepResult wide;
+    while (wide.rows.size() < 65)
+        wide.rows.insert(wide.rows.end(), tiny.rows.begin(),
+                         tiny.rows.end());
+    wide.rows.resize(65);
+    wide.jobs = 3;
     obs::Tracer &tracer = obs::Tracer::instance();
     tracer.clear();
     tracer.setEnabled(true);
-    std::string csv = render(writeSweepCsv, result);
-    std::string json = render(writeSweepJson, result);
+    std::string csv = render(writeSweepCsv, tiny);
+    std::string json = render(writeSweepJson, tiny);
+    std::string wide_csv = render(writeSweepCsv, wide);
+    std::string wide_json = render(writeSweepJson, wide);
     tracer.setEnabled(false);
     std::ostringstream trace;
     tracer.writeChromeTrace(trace);
@@ -364,18 +441,32 @@ TEST(SweepExportTest, EachExportIsOneSpanWithFormatAndBytes)
     ASSERT_TRUE(doc);
     const JsonValue *events = doc->find("traceEvents");
     ASSERT_TRUE(events && events->isArray());
-    std::vector<std::pair<std::string, std::string>> exports;
+    // format, jobs, blocks, bytes; all on the calling thread.
+    using Args = std::vector<std::string>;
+    std::vector<Args> exports;
+    std::optional<double> tid;
     for (const JsonValue &ev : events->items()) {
         if (ev.find("name")->asString() != "sweep.export")
             continue;
+        if (!tid)
+            tid = ev.find("tid")->asNumber();
+        EXPECT_EQ(ev.find("tid")->asNumber(), *tid);
         const JsonValue *args = ev.find("args");
         ASSERT_TRUE(args);
-        exports.emplace_back(args->find("format")->asString(),
-                             args->find("bytes")->asString());
+        Args got;
+        for (const char *key : {"format", "jobs", "blocks", "bytes"}) {
+            const JsonValue *arg = args->find(key);
+            ASSERT_TRUE(arg) << key;
+            got.push_back(arg->asString());
+        }
+        exports.push_back(got);
     }
-    std::vector<std::pair<std::string, std::string>> want = {
-        {"csv", std::to_string(csv.size())},
-        {"json", std::to_string(json.size())}};
+    // The tiny sweep is one block, formatted inline whatever its jobs.
+    std::vector<Args> want = {
+        {"csv", "1", "1", std::to_string(csv.size())},
+        {"json", "1", "1", std::to_string(json.size())},
+        {"csv", "2", "2", std::to_string(wide_csv.size())},
+        {"json", "2", "2", std::to_string(wide_json.size())}};
     EXPECT_EQ(exports, want);
 }
 

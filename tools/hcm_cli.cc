@@ -6,6 +6,7 @@
  * vocabulary. See `hcm help` for usage.
  */
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/crossover.hh"
@@ -159,8 +161,9 @@ options (sweep):
                               for baseline + every alternative incl.
                               multi-amdahl and the thermal scenarios;
                               duplicates run once (default baseline)
-  --jobs <n>                  worker threads (default: hardware;
-                              1 = run serially inline)
+  --jobs <n>                  worker threads for the sweep and its
+                              export (default: hardware; 1 = run
+                              serially inline)
   --progress                  report completed/total units on stderr
   --format <csv|json>         output format (default csv)
   --output <file>             write results there instead of stdout
@@ -347,6 +350,24 @@ parseDevice(const std::string &name)
     return *id;
 }
 
+/**
+ * @p text as a @p T, all of it, or a fatal usage error naming @p what
+ * (the flag or argument it came from).
+ */
+template <class T>
+T
+parseNumber(const std::string &what, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        hcm_fatal(what, std::is_integral_v<T> ? " needs an integer"
+                                              : " needs a number",
+                  ", not '", text, "'");
+    return value;
+}
+
 Options
 parseOptions(const std::vector<std::string> &args, std::size_t start)
 {
@@ -361,11 +382,11 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         if (a == "--workload")
             opts.workload = parseWorkload(next());
         else if (a == "--f")
-            opts.f = std::stod(next());
+            opts.f = parseNumber<double>(a, next());
         else if (a == "--scenario")
             opts.scenario = next();
         else if (a == "--node")
-            opts.node = std::stod(next());
+            opts.node = parseNumber<double>(a, next());
         else if (a == "--device")
             opts.device = next();
         else if (a == "--energy")
@@ -381,7 +402,7 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         else if (a == "--scenarios")
             opts.sweepSpec.scenarios = next();
         else if (a == "--jobs")
-            opts.jobs = std::stoul(next());
+            opts.jobs = parseNumber<std::size_t>(a, next());
         else if (a == "--progress")
             opts.progress = true;
         else if (a == "--format")
@@ -389,29 +410,29 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         else if (a == "--output")
             opts.output = next();
         else if (a == "--chunks")
-            opts.chunks = std::stoul(next());
+            opts.chunks = parseNumber<std::size_t>(a, next());
         else if (a == "--cache")
-            opts.cacheKib = std::stoul(next());
+            opts.cacheKib = parseNumber<std::size_t>(a, next());
         else if (a == "--slot")
             opts.slots.push_back(next());
         else if (a == "--shared")
             opts.shared = true;
         else if (a == "--target")
-            opts.target = std::stod(next());
+            opts.target = parseNumber<double>(a, next());
         else if (a == "--out")
             opts.out = next();
         else if (a == "--threads")
-            opts.threads = std::stoul(next());
+            opts.threads = parseNumber<std::size_t>(a, next());
         else if (a == "--cache-entries")
-            opts.cacheEntries = std::stoul(next());
+            opts.cacheEntries = parseNumber<std::size_t>(a, next());
         else if (a == "--no-cache")
             opts.noCache = true;
         else if (a == "--slow-query-ms")
-            opts.slowQueryMs = std::stod(next());
+            opts.slowQueryMs = parseNumber<double>(a, next());
         else if (a == "--deadline-ms")
-            opts.deadlineMs = std::stod(next());
+            opts.deadlineMs = parseNumber<double>(a, next());
         else if (a == "--admission-wait-ms")
-            opts.admissionWaitMs = std::stod(next());
+            opts.admissionWaitMs = parseNumber<double>(a, next());
         else if (a == "--fault-spec")
             opts.faultSpec = next();
         else if (a == "--trace-out")
@@ -433,23 +454,23 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         else if (a == "--smoke")
             opts.smoke = true;
         else if (a == "--repetitions")
-            opts.repetitions = std::stoi(next());
+            opts.repetitions = parseNumber<int>(a, next());
         else if (a == "--results")
             opts.results = next();
         else if (a == "--tolerance-pct")
-            opts.tolerancePct = std::stod(next());
+            opts.tolerancePct = parseNumber<double>(a, next());
         else if (a == "--min-time-ns")
-            opts.minTimeNs = std::stod(next());
+            opts.minTimeNs = parseNumber<double>(a, next());
         else if (a == "--measured")
             opts.measured = true;
         else if (a == "--results-only")
             opts.resultsOnly = true;
         else if (a == "--port")
-            opts.port = std::stoi(next());
+            opts.port = parseNumber<int>(a, next());
         else if (a == "--host")
             opts.host = next();
         else if (a == "--shards")
-            opts.shards = std::stoul(next());
+            opts.shards = parseNumber<std::size_t>(a, next());
         else if (a == "--shard-id")
             opts.shardId = next();
         else if (a == "--shard-addrs")
@@ -457,23 +478,23 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         else if (a == "--connect")
             opts.connect = next();
         else if (a == "--rate")
-            opts.rate = std::stod(next());
+            opts.rate = parseNumber<double>(a, next());
         else if (a == "--concurrency")
-            opts.concurrency = std::stoul(next());
+            opts.concurrency = parseNumber<std::size_t>(a, next());
         else if (a == "--repeat")
-            opts.repeat = std::stoul(next());
+            opts.repeat = parseNumber<std::size_t>(a, next());
         else if (a == "--timeout-ms")
-            opts.timeoutMs = std::stod(next());
+            opts.timeoutMs = parseNumber<double>(a, next());
         else if (a == "--scrape-interval-ms")
-            opts.scrapeIntervalMs = std::stod(next());
+            opts.scrapeIntervalMs = parseNumber<double>(a, next());
         else if (a == "--flight-recorder-size")
-            opts.flightRecorderSize = std::stoul(next());
+            opts.flightRecorderSize = parseNumber<std::size_t>(a, next());
         else if (a == "--samples-out")
             opts.samplesOut = next();
         else if (a == "--no-request-ids")
             opts.noRequestIds = true;
         else if (a == "--interval-ms")
-            opts.intervalMs = std::stod(next());
+            opts.intervalMs = parseNumber<double>(a, next());
         else if (a == "--once")
             opts.once = true;
         else
@@ -1000,7 +1021,7 @@ parseSlot(const std::string &spec)
     wl::Workload w = parts.size() == 4
                          ? parseWorkload(parts[1] + ":" + parts[2])
                          : parseWorkload(parts[1]);
-    double fraction = std::stod(parts.back());
+    double fraction = parseNumber<double>("--slot fraction", parts.back());
     return core::makeSlot(device, w, fraction);
 }
 
@@ -1525,12 +1546,13 @@ main(int argc, char **argv)
     if (cmd == "table") {
         if (args.size() < 2)
             hcm_fatal("usage: hcm table <1-6>");
-        return cmdTable(std::stoi(args[1]));
+        return cmdTable(parseNumber<int>("table", args[1]));
     }
     if (cmd == "figure") {
         if (args.size() < 2)
             hcm_fatal("usage: hcm figure <2-10>");
-        return cmdFigure(std::stoi(args[1]), parseOptions(args, 2));
+        return cmdFigure(parseNumber<int>("figure", args[1]),
+                         parseOptions(args, 2));
     }
     if (cmd == "project")
         return cmdProject(parseOptions(args, 1));
