@@ -13,11 +13,14 @@
  * is not ready; when result.jobs > 1 and there is more than one block,
  * up to result.jobs - 1 more threads format blocks alongside it. At
  * most 2 * jobs blocks are buffered, so memory does not grow with the
- * row count, and the bytes do not depend on the thread count. A
- * formatting thread's exception is rethrown on the calling thread
- * after every thread is joined. Each call is one obs span on the
- * calling thread, "sweep.export", with format, jobs (formatting
- * threads, the caller included), blocks and bytes args.
+ * row count, and the bytes do not depend on the thread count. Each
+ * buffer slot takes a cache line or more: formatting threads append to
+ * their slots without the lock, and packed slot headers shared lines
+ * that every append invalidated. A formatting thread's exception is
+ * rethrown on the calling thread after every thread is joined. Each
+ * call is one obs span on the calling thread, "sweep.export", with
+ * format, jobs (formatting threads, the caller included), blocks and
+ * bytes args.
  */
 
 #ifndef HCM_SWEEP_EXPORT_HH

@@ -14,6 +14,11 @@
  * Instrumented with obs spans (sweep.run, sweep.unit), the
  * hcm_sweep_units_total counter, and the hcm_sweep_active_units gauge;
  * the worker pool's own queue-depth gauge covers scheduling pressure.
+ * Both move once per block of units (the gauge +n when a block starts
+ * and -n when it ends, the counter +n when it ends), and the
+ * completion mutex is taken per unit only when a progress callback is
+ * set: per-unit updates of shared cache lines and a lock per unit kept
+ * the unit phase from scaling with jobs.
  */
 
 #ifndef HCM_SWEEP_SWEEP_HH
@@ -67,7 +72,9 @@ struct SweepOptions
     /**
      * Called after each completed unit with (done, total). Invocations
      * are serialized under a mutex, so the callback may write to a
-     * stream without further locking; done is strictly increasing.
+     * stream without further locking; done is strictly increasing, by
+     * one per call. Setting it makes every unit take that mutex, so a
+     * callback that does real work per call serializes the sweep.
      */
     std::function<void(std::size_t done, std::size_t total)> progress;
 };

@@ -257,6 +257,41 @@ TEST(CliTest, WorkloadTokensCheckTheMeasurementDb)
     EXPECT_EQ(runCli("project --workload fft:128").first, 1);
 }
 
+TEST(CliTest, SweepProgressPrintsPerPercentAndLeavesStdoutAlone)
+{
+    const std::string sweep = "sweep --scenarios all --jobs 3";
+    std::string plain = tempPath("sweep_plain.csv");
+    std::string shown = tempPath("sweep_progress.csv");
+    std::string err = tempPath("sweep_progress.err");
+    auto [plain_code, plain_out] = runCli(sweep + " > " + plain);
+    ASSERT_EQ(plain_code, 0) << plain_out;
+    auto [code, out] =
+        runCli(sweep + " --progress > " + shown + " 2> " + err);
+    ASSERT_EQ(code, 0) << out;
+    std::string csv = readFile(plain);
+    EXPECT_FALSE(csv.empty());
+    EXPECT_TRUE(readFile(shown) == csv) << "--progress changed stdout";
+
+    // Updates are "\rsweep: done/total units"; the last ends the line.
+    std::string progress = readFile(err);
+    std::size_t updates = 0, last = std::string::npos;
+    for (std::size_t at = progress.find("sweep: ");
+         at != std::string::npos; at = progress.find("sweep: ", at + 1)) {
+        ++updates;
+        last = at;
+    }
+    ASSERT_NE(last, std::string::npos) << progress;
+    std::size_t done = 0, total = 0;
+    ASSERT_EQ(std::sscanf(progress.c_str() + last, "sweep: %zu/%zu",
+                          &done, &total),
+              2)
+        << progress;
+    EXPECT_GT(total, 101u); // more units than allowed updates
+    EXPECT_EQ(done, total);
+    EXPECT_LE(updates, 101u);
+    EXPECT_EQ(progress.substr(progress.size() - 7), " units\n");
+}
+
 TEST(CliTest, NumericArgumentsRejectGarbageWithAUsageError)
 {
     // Each must end in `fatal:` naming where the bad number came from,

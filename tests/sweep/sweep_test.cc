@@ -101,32 +101,49 @@ TEST(SweepTest, MatchesSerialProjectionReference)
 TEST(SweepTest, ProgressIsMonotoneAndComplete)
 {
     SweepSpec spec = smallSpec();
-    SweepOptions opts;
-    opts.jobs = 4;
-    std::size_t calls = 0, last_done = 0, last_total = 0;
-    opts.progress = [&](std::size_t done, std::size_t total) {
-        ++calls;
-        EXPECT_EQ(done, last_done + 1); // serialized, strictly +1
-        last_done = done;
-        last_total = total;
-    };
-    SweepResult result = runSweep(spec, opts);
-    EXPECT_EQ(calls, result.units);
-    EXPECT_EQ(last_done, result.units);
-    EXPECT_EQ(last_total, result.units);
+    for (std::size_t jobs : {1u, 3u, 4u}) {
+        SCOPED_TRACE(jobs);
+        SweepOptions opts;
+        opts.jobs = jobs;
+        std::size_t calls = 0, last_done = 0, last_total = 0;
+        opts.progress = [&](std::size_t done, std::size_t total) {
+            ++calls;
+            EXPECT_EQ(done, last_done + 1); // serialized, strictly +1
+            last_done = done;
+            last_total = total;
+        };
+        SweepResult result = runSweep(spec, opts);
+        EXPECT_EQ(calls, result.units);
+        EXPECT_EQ(last_done, result.units);
+        EXPECT_EQ(last_total, result.units);
+    }
 }
 
 TEST(SweepTest, CountsUnitsInMetricsRegistry)
 {
+    // The counter and the gauge move once per block of units; whatever
+    // the blocking and whether or not the per-unit progress lock is
+    // taken, every unit is counted once and the gauge returns to 0.
     obs::Counter &counter =
         obs::globalRegistry().counter("hcm_sweep_units_total");
-    std::uint64_t before = counter.value();
-    SweepResult result = runSweep(smallSpec(), {});
-    EXPECT_EQ(counter.value() - before, result.units);
-    EXPECT_EQ(obs::globalRegistry()
-                  .gauge("hcm_sweep_active_units")
-                  .value(),
-              0);
+    obs::Gauge &active =
+        obs::globalRegistry().gauge("hcm_sweep_active_units");
+    for (std::size_t jobs : {1u, 3u, 8u}) {
+        for (bool with_progress : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "jobs " << jobs << " progress "
+                         << with_progress);
+            SweepOptions opts;
+            opts.jobs = jobs;
+            if (with_progress)
+                opts.progress = [](std::size_t, std::size_t) {};
+            std::uint64_t before = counter.value();
+            SweepResult result = runSweep(smallSpec(), opts);
+            EXPECT_EQ(result.jobs, jobs);
+            EXPECT_EQ(counter.value() - before, result.units);
+            EXPECT_EQ(active.value(), 0);
+        }
+    }
 }
 
 TEST(SweepTest, EmptyDimensionThrows)

@@ -164,7 +164,8 @@ options (sweep):
   --jobs <n>                  worker threads for the sweep and its
                               export (default: hardware; 1 = run
                               serially inline)
-  --progress                  report completed/total units on stderr
+  --progress                  report completed/total units on stderr,
+                              once per whole percent
   --format <csv|json>         output format (default csv)
   --output <file>             write results there instead of stdout
 
@@ -778,7 +779,15 @@ cmdSweep(const Options &opts)
     sweep::SweepOptions sopts;
     sopts.jobs = opts.jobs;
     if (opts.progress)
-        sopts.progress = [](std::size_t done, std::size_t total) {
+        // One line per whole percent, not per unit: a flushed write per
+        // unit serialized the workers on stderr (about 130 ms against
+        // 45 ms without --progress, 30,300 units at --jobs 4, 4 CPUs).
+        sopts.progress = [shown = std::size_t(-1)](
+                             std::size_t done, std::size_t total) mutable {
+            std::size_t percent = done * 100 / total;
+            if (percent == shown)
+                return;
+            shown = percent;
             std::cerr << "\rsweep: " << done << "/" << total
                       << " units" << (done == total ? "\n" : "")
                       << std::flush;
